@@ -631,8 +631,9 @@ o+ z+
             let x = local.mg.transition_by_label(from).expect("present");
             let y = local.mg.transition_by_label(to).expect("present");
             relax_arc(&mut local.mg, x, y).expect("relaxes");
-            let (sg, map) = si_stg::StateGraph::of_mg_from(&parent_mg, &parent_sg, &local.mg, 1000)
-                .expect("derives");
+            let (sg, map) =
+                si_stg::StateGraph::of_mg_from(&parent_mg, &parent_sg, None, &local.mg, 1000)
+                    .expect("derives");
             let map = map.expect("single-arc relaxation is delta-eligible");
             let scratch = classify_states(&local, &sg, &epre, Some(x)).expect("checks");
             let incremental =

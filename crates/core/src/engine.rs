@@ -38,7 +38,7 @@ use std::time::{Duration, Instant};
 use si_boolean::{parse_eqn, GateLibrary};
 use si_stg::{MgStg, SignalId, StateGraph, Stg};
 
-use crate::cache::{CacheStats, ConformanceCache, ProjCache, SgCache};
+use crate::cache::{CacheStats, ConfLookup, ConformanceCache, ProjCache, SgCache};
 use crate::check::{classify_states, prerequisite_sets, RelaxationCase};
 use crate::constraint::{Constraint, ConstraintAtom};
 use crate::error::CoreError;
@@ -914,14 +914,14 @@ impl Engine {
             }
             let epre = prerequisite_sets(&local);
             let (case, report) = match self.conformance.lookup(&local, &epre, None) {
-                Some(v) => {
+                ConfLookup::Hit(case, report) => {
                     out.conf_cache_hits += 1;
-                    v
+                    (case, report)
                 }
-                None => {
+                ConfLookup::Miss(miss) => {
                     out.conf_cache_misses += 1;
                     let (case, report) = classify_states(&local, &sg, &epre, None)?;
-                    self.conformance.store(&local, &epre, None, case, &report);
+                    self.conformance.store(miss, case, &report);
                     (case, report)
                 }
             };

@@ -18,9 +18,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use si_stg::{SgMap, StateGraph, TransitionLabel};
+use si_stg::{SgMap, SigmaRows, StateGraph, TransitionLabel};
 
-use crate::cache::{ConformanceCache, SgCache, SgSource};
+use crate::cache::{ConfLookup, ConformanceCache, SgCache, SgSource};
 use crate::check::{
     classify_states, classify_states_from, conformance, prerequisite_sets, ConformanceReport,
     RelaxationCase,
@@ -128,18 +128,22 @@ impl<'a> ExpandCtx<'a> {
     /// is at hand), plain memoized generation otherwise. Output and errors
     /// are identical either way. The [`SgMap`] is `Some` exactly when the
     /// graph was freshly derived through the delta path — the
-    /// correspondence incremental classification consumes.
+    /// correspondence incremental classification consumes, and the rows
+    /// the next derivation from this graph starts from.
     fn sg_step(
         &self,
         parent: &si_stg::MgStg,
         parent_sg: Option<&Arc<StateGraph>>,
+        parent_rows: Option<&SigmaRows>,
         mg: &si_stg::MgStg,
         out: &mut ExpandOutcome,
     ) -> Result<(Arc<StateGraph>, Option<SgMap>), CoreError> {
         let Some(psg) = parent_sg.filter(|_| self.incremental) else {
             return Ok((self.sg(mg, out)?, None));
         };
-        let (sg, source, map) = self.cache.of_mg_from(parent, psg, mg, self.sg_budget)?;
+        let (sg, source, map) =
+            self.cache
+                .of_mg_from(parent, psg, parent_rows, mg, self.sg_budget)?;
         match source {
             SgSource::Structural => out.sg_cache_hits += 1,
             SgSource::Delta => {
@@ -175,10 +179,13 @@ impl<'a> ExpandCtx<'a> {
         prev: Option<(&ConformanceReport, &SgMap)>,
         out: &mut ExpandOutcome,
     ) -> Result<(RelaxationCase, ConformanceReport), CoreError> {
-        if let Some(v) = self.conformance.lookup(trial, epre, relaxed) {
-            out.conf_cache_hits += 1;
-            return Ok(v);
-        }
+        let miss = match self.conformance.lookup(trial, epre, relaxed) {
+            ConfLookup::Hit(case, report) => {
+                out.conf_cache_hits += 1;
+                return Ok((case, report));
+            }
+            ConfLookup::Miss(miss) => miss,
+        };
         out.conf_cache_misses += 1;
         let (case, report) = match prev.filter(|_| self.incremental_classify) {
             Some((parent_report, map)) => {
@@ -187,7 +194,7 @@ impl<'a> ExpandCtx<'a> {
             }
             None => classify_states(trial, sg, epre, relaxed)?,
         };
-        self.conformance.store(trial, epre, relaxed, case, &report);
+        self.conformance.store(miss, case, &report);
         Ok((case, report))
     }
 }
@@ -330,6 +337,27 @@ pub struct ExpandOutcome {
     pub sched_watchdog_bails: usize,
 }
 
+/// The state graph of the loop's current local STG, with what the next
+/// trial derives from it: the graph's conformance report and, when the
+/// graph came from a fresh delta derivation, its σ rows.
+struct Prev {
+    sg: Arc<StateGraph>,
+    report: ConformanceReport,
+    rows: Option<SigmaRows>,
+}
+
+impl Prev {
+    /// A predecessor whose σ rows are unknown (the next derivation
+    /// rebuilds them from the graph).
+    fn without_rows((sg, report): (Arc<StateGraph>, ConformanceReport)) -> Self {
+        Self {
+            sg,
+            report,
+            rows: None,
+        }
+    }
+}
+
 fn atom(local: &LocalStg, label: TransitionLabel) -> ConstraintAtom {
     ConstraintAtom::from_label(label, &local.mg.signal_names())
 }
@@ -371,6 +399,10 @@ fn relaxation_growth(mg: &si_stg::MgStg, x: usize, y: usize) -> i64 {
     inserted
 }
 
+/// The ordering key of a candidate arc: the policy's primary weight, then
+/// the oracle's tightness key.
+type ArcWeight = (i64, (bool, u32));
+
 /// Picks the next arc to relax under the chosen policy (Sec. 5.5) from
 /// the caller-supplied relaxable set; weight ties break by label text for
 /// determinism.
@@ -384,7 +416,7 @@ fn find_next_arc(
     // label_string(b))`, but renders label text only on weight ties and
     // into reused buffers — this runs once per relaxation iteration over
     // every relaxable arc, so per-arc `String`s dominate otherwise.
-    let mut best: Option<((i64, (bool, u32)), (usize, usize))> = None;
+    let mut best: Option<(ArcWeight, (usize, usize))> = None;
     let (mut best_a, mut best_b) = (String::new(), String::new());
     let (mut cand_a, mut cand_b) = (String::new(), String::new());
     for &(a, b) in arcs {
@@ -471,7 +503,7 @@ pub(crate) fn expand_ctx(
     ctx: &ExpandCtx<'_>,
     out: &mut ExpandOutcome,
 ) -> Result<(), CoreError> {
-    expand_at(&mut local, ctx, out, 0, prev)
+    expand_at(&mut local, ctx, out, 0, prev.map(Prev::without_rows))
 }
 
 fn expand_at(
@@ -479,7 +511,7 @@ fn expand_at(
     ctx: &ExpandCtx<'_>,
     out: &mut ExpandOutcome,
     depth: usize,
-    prev: Option<(Arc<StateGraph>, ConformanceReport)>,
+    prev: Option<Prev>,
 ) -> Result<(), CoreError> {
     let gate = gate_name(local);
     // One scheduler per loop instance: every decomposition sub-STG and
@@ -489,9 +521,9 @@ fn expand_at(
     // The arc label is rendered into this buffer, reused across
     // iterations; the trace clones it once, exact-size.
     let mut arc_text = String::new();
-    // The state graph of the current `local.mg` and its conformance
-    // report, threaded through the loop so every trial regenerates — and
-    // reclassifies — incrementally from its predecessor.
+    // The state graph of the current `local.mg`, its conformance report
+    // and σ rows, threaded through the loop so every trial regenerates —
+    // and reclassifies — incrementally from its predecessor.
     let mut prev = prev;
     loop {
         out.iterations += 1;
@@ -515,15 +547,26 @@ fn expand_at(
         // the iteration that tripped it. All inputs are cache- and
         // parallelism-independent, so a divergence verdict is identical
         // across the whole engine configuration matrix.
-        let observed = (ctx.divergence_policy == DivergencePolicy::Bail)
-            .then(|| (local.mg.sg_fingerprint(), local.guaranteed.len(), arcs.len()));
+        let observed = (ctx.divergence_policy == DivergencePolicy::Bail).then(|| {
+            (
+                local.mg.sg_fingerprint(),
+                local.guaranteed.len(),
+                arcs.len(),
+            )
+        });
 
         // Epre is computed on the STG *before* this relaxation.
         let epre = prerequisite_sets(local);
         let mut trial = local.clone();
         relax_arc(&mut trial.mg, x, y)?;
-        let (sg, map) = ctx.sg_step(&local.mg, prev.as_ref().map(|(s, _)| s), &trial.mg, out)?;
-        let prev_verdicts = prev.as_ref().map(|(_, r)| r).zip(map.as_ref());
+        let (sg, map) = ctx.sg_step(
+            &local.mg,
+            prev.as_ref().map(|p| &p.sg),
+            prev.as_ref().and_then(|p| p.rows.as_ref()),
+            &trial.mg,
+            out,
+        )?;
+        let prev_verdicts = prev.as_ref().map(|p| &p.report).zip(map.as_ref());
         let (case, report) = ctx.classify(&trial, &sg, &epre, Some(x), prev_verdicts, out)?;
         out.trace.push(TraceEvent::Relaxed {
             gate: gate.clone(),
@@ -556,7 +599,11 @@ fn expand_at(
         match case {
             RelaxationCase::Case1 => {
                 *local = trial;
-                prev = Some((sg, report));
+                prev = Some(Prev {
+                    sg,
+                    report,
+                    rows: map.map(|m| m.rows),
+                });
             }
             RelaxationCase::Case4 => {
                 emit_constraint(local, x, y, out);
@@ -568,7 +615,13 @@ fn expand_at(
                 if trial.mg.arc(x, t_out).is_some_and(|a| !a.restriction) {
                     let mut modified = trial.clone();
                     relax_arc(&mut modified.mg, x, t_out)?;
-                    let (sg2, map2) = ctx.sg_step(&trial.mg, Some(&sg), &modified.mg, out)?;
+                    let (sg2, map2) = ctx.sg_step(
+                        &trial.mg,
+                        Some(&sg),
+                        map.as_ref().map(|m| &m.rows),
+                        &modified.mg,
+                        out,
+                    )?;
                     let (case2, report2) = ctx.classify(
                         &modified,
                         &sg2,
@@ -583,7 +636,11 @@ fn expand_at(
                             transition: modified.mg.label_string(x),
                         });
                         *local = modified;
-                        prev = Some((sg2, report2));
+                        prev = Some(Prev {
+                            sg: sg2,
+                            report: report2,
+                            rows: map2.map(|m| m.rows),
+                        });
                         continue;
                     }
                     // OR-causality in case 2: decompose from the modified
@@ -652,8 +709,8 @@ fn expand_at(
 
 /// Recurses into sub-STGs; if any sub-STG is itself non-conformant the
 /// whole decomposition is abandoned in favour of the case-4 constraint.
-/// `prev` is the state graph of `local.mg` (with its conformance report),
-/// handed back to the loop when a fallback resumes it.
+/// `prev` is the state graph of `local.mg` (with its conformance report
+/// and σ rows), handed back to the loop when a fallback resumes it.
 #[allow(clippy::too_many_arguments)]
 fn recurse(
     subs: Vec<LocalStg>,
@@ -663,7 +720,7 @@ fn recurse(
     ctx: &ExpandCtx<'_>,
     out: &mut ExpandOutcome,
     depth: usize,
-    prev: Option<(Arc<StateGraph>, ConformanceReport)>,
+    prev: Option<Prev>,
 ) -> Result<(), CoreError> {
     if depth + 1 >= ctx.max_depth {
         out.trace.push(TraceEvent::Fallback {
@@ -691,7 +748,13 @@ fn recurse(
         sub_sgs.push((sg, rep));
     }
     for (mut sub, sub_prev) in subs.into_iter().zip(sub_sgs) {
-        expand_at(&mut sub, ctx, out, depth + 1, Some(sub_prev))?;
+        expand_at(
+            &mut sub,
+            ctx,
+            out,
+            depth + 1,
+            Some(Prev::without_rows(sub_prev)),
+        )?;
     }
     Ok(())
 }

@@ -82,7 +82,7 @@ mod relax;
 mod report;
 mod sched;
 
-pub use cache::{CacheStats, ConformanceCache, ProjCache, SgCache, SgSource};
+pub use cache::{CacheStats, ConfLookup, ConfMiss, ConformanceCache, ProjCache, SgCache, SgSource};
 pub use check::{
     classify_state, classify_states, classify_states_from, conformance, conformance_from,
     is_pending, prerequisite_sets, ConformanceReport, RelaxationCase, StateClass,
@@ -105,6 +105,4 @@ pub use relax::relax_arc;
 pub use report::{
     derive_timing_constraints, derive_timing_constraints_with_order, ConstraintReport, GateReport,
 };
-pub use sched::{
-    DivergenceKind, DivergencePolicy, DivergenceWitness, DEFAULT_DIVERGENCE_WINDOW,
-};
+pub use sched::{DivergenceKind, DivergencePolicy, DivergenceWitness, DEFAULT_DIVERGENCE_WINDOW};

@@ -39,7 +39,7 @@ fn check_round(
     };
     let child = edit.apply_local(&parent);
     let Ok((child_sg, Some(map))) =
-        StateGraph::of_mg_from(&parent.mg, &parent_sg, &child.mg, budget)
+        StateGraph::of_mg_from(&parent.mg, &parent_sg, None, &child.mg, budget)
     else {
         return Ok(()); // error or scratch fallback: no correspondence to reuse
     };

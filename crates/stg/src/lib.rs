@@ -41,7 +41,7 @@ pub use parse::{
     parse_astg, parse_astg_lenient, write_astg, LenientParse, ParseAstgError, ParseErrorKind, Span,
     SpecSpans, IMEC_RAM_READ_SBUF_G,
 };
-pub use sg::{SgMap, SgState, StateGraph};
+pub use sg::{SgMap, SgState, SigmaRows, StateGraph};
 pub use signal::{Polarity, SignalId, SignalKind, TransitionLabel};
 pub use stg::{Stg, StgError, StgHealth};
 pub use tree::{tree_of_events, TreeBuilder};

@@ -13,29 +13,445 @@
 //! weakly connected marked graphs, [`StateGraph::of_mg_sigma`] replaces
 //! the packed-marking state keys with the cheaper normalized
 //! firing-count-vector (σ-space) keys the delta path already uses.
+//!
+//! Both σ-space generators run one exploration kernel: states are
+//! identified by their normalized firing-count rows, kept in a flat arena
+//! with an open-addressing index ([`SigmaRows`]), so exploring a state
+//! allocates nothing beyond the graph's own edge list.
+//! [`StateGraph::of_mg`] stays marking-keyed: it is the independent
+//! oracle every σ-space result is checked against.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use crate::mg::MgStg;
 use crate::signal::{Polarity, SignalId, TransitionLabel};
 use crate::stg::{Stg, StgError};
 
-/// Normalizes a firing-count vector to its canonical representative:
-/// firing counts are only determined up to a constant shift (one full
-/// cycle fires every transition once), so subtract the minimum over the
-/// alive transitions. Entries of dead transitions stay untouched (they
-/// are never fired and remain zero).
-fn normalized(sigma: &[i64], alive: &[usize]) -> Vec<i64> {
-    let min = alive
-        .iter()
-        .map(|&t| sigma[t])
-        .min()
-        .expect("alive set is non-empty");
-    let mut v = sigma.to_vec();
-    for &t in alive {
-        v[t] -= min;
+/// An empty slot of a [`SigmaRows`] index.
+const EMPTY: u32 = u32::MAX;
+
+/// The σ rows of one state graph: per state, the normalized firing-count
+/// vector that identifies it, in state order, plus an index from rows
+/// back to states.
+///
+/// Layout: one flat arena with one column per alive transition (ascending
+/// transition id); state `i`'s row is `rows[i * width..(i + 1) * width]`.
+/// Firing counts of a weakly connected marked graph are fixed by the
+/// marking only up to a constant shift, so every row is normalized to
+/// minimum 0; an entry never exceeds the state count, which the index
+/// bounds to `u32`. Each row's hash is stored next to it: re-indexing never
+/// re-hashes, and a probe compares whole rows only on equal hashes. The
+/// index is linear probing over a power-of-two table of state ids, kept
+/// at most half full.
+///
+/// A value is produced by the σ-space explorer and handed out in
+/// [`SgMap::rows`]; passing it back to [`StateGraph::of_mg_from`] with its
+/// graph saves that call from re-walking the graph to rebuild it.
+#[derive(Debug, Clone)]
+pub struct SigmaRows {
+    width: usize,
+    rows: Vec<u32>,
+    hashes: Vec<u64>,
+    slots: Vec<u32>,
+    indexed: usize,
+}
+
+impl PartialEq for SigmaRows {
+    /// Two tables are equal when they hold the same rows in the same
+    /// order; the hashes follow from the rows and the slot layout is an
+    /// index detail.
+    fn eq(&self, other: &Self) -> bool {
+        self.width == other.width && self.rows == other.rows
     }
-    v
+}
+
+impl Eq for SigmaRows {}
+
+impl SigmaRows {
+    fn new(width: usize) -> Self {
+        Self {
+            width,
+            rows: Vec::new(),
+            hashes: Vec::new(),
+            slots: vec![EMPTY; 16],
+            indexed: 0,
+        }
+    }
+
+    /// The rows of `sg`'s states, recovered by walking its edges from the
+    /// initial state (`alive` = the generating MG's alive transitions).
+    /// Each row is its discoverer's row plus one firing, normalized; in a
+    /// weakly connected MG every path to a state yields the same row.
+    fn of_graph(sg: &StateGraph, alive: &[usize]) -> Self {
+        let width = alive.len();
+        let col = columns(alive);
+        let n = sg.state_count();
+        let mut table = Self::new(width);
+        table.rows = vec![0; n * width];
+        let mut seen = vec![false; n];
+        seen[0] = true;
+        let mut stack = vec![0usize];
+        while let Some(p) = stack.pop() {
+            for &(t, j) in &sg.edges[p] {
+                if !seen[j] {
+                    seen[j] = true;
+                    table
+                        .rows
+                        .copy_within(p * width..(p + 1) * width, j * width);
+                    let row = &mut table.rows[j * width..(j + 1) * width];
+                    row[col[t]] += 1;
+                    normalize(row);
+                    stack.push(j);
+                }
+            }
+        }
+        table.hashes = table.rows.chunks_exact(width).map(hash_row).collect();
+        table.reindex();
+        table
+    }
+
+    fn len(&self) -> usize {
+        self.hashes.len()
+    }
+
+    fn row(&self, i: usize) -> &[u32] {
+        &self.rows[i * self.width..(i + 1) * self.width]
+    }
+
+    /// The state whose row is `row` (with hash `hash`), if indexed.
+    fn find(&self, row: &[u32], hash: u64) -> Option<usize> {
+        let mask = self.slots.len() - 1;
+        let mut s = hash as usize & mask;
+        loop {
+            let k = self.slots[s];
+            if k == EMPTY {
+                return None;
+            }
+            let k = k as usize;
+            if self.hashes[k] == hash && self.row(k) == row {
+                return Some(k);
+            }
+            s = (s + 1) & mask;
+        }
+    }
+
+    /// Appends a row without indexing it.
+    fn push(&mut self, row: &[u32], hash: u64) {
+        self.rows.extend_from_slice(row);
+        self.hashes.push(hash);
+    }
+
+    /// Appends a row from another table with the same columns.
+    fn push_from(&mut self, other: &Self, i: usize) {
+        self.rows.extend_from_slice(other.row(i));
+        self.hashes.push(other.hashes[i]);
+    }
+
+    /// Indexes the last appended row. Growing the table re-indexes every
+    /// row appended so far; an index holding extra rows answers the same.
+    fn index_last(&mut self) {
+        if (self.indexed + 1) * 2 > self.slots.len() {
+            self.reindex();
+        } else {
+            self.insert_slot(self.len() - 1);
+        }
+    }
+
+    /// Indexes every row, sizing the slot table for them.
+    fn reindex(&mut self) {
+        let cap = (self.len() * 2).next_power_of_two().max(16);
+        self.slots.clear();
+        self.slots.resize(cap, EMPTY);
+        self.indexed = 0;
+        for i in 0..self.len() {
+            self.insert_slot(i);
+        }
+    }
+
+    fn insert_slot(&mut self, i: usize) {
+        let mask = self.slots.len() - 1;
+        let mut s = self.hashes[i] as usize & mask;
+        while self.slots[s] != EMPTY {
+            s = (s + 1) & mask;
+        }
+        self.slots[s] = u32::try_from(i).expect("state ids fit in u32");
+        self.indexed += 1;
+    }
+}
+
+/// Hash of one σ row (a multiply-rotate word hash, folded so the low bits
+/// the index probes with depend on every entry).
+fn hash_row(row: &[u32]) -> u64 {
+    let mut h = 0u64;
+    for &x in row {
+        h = (h.rotate_left(5) ^ u64::from(x)).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+    h ^ (h >> 32)
+}
+
+/// Shifts a row to its canonical representative (minimum entry 0).
+fn normalize(row: &mut [u32]) {
+    let min = row.iter().copied().min().unwrap_or(0);
+    if min > 0 {
+        for x in row {
+            *x -= min;
+        }
+    }
+}
+
+/// `col[t]` = the σ-row column of alive transition `t`.
+fn columns(alive: &[usize]) -> Vec<usize> {
+    let nt = alive.last().map_or(0, |&t| t + 1);
+    let mut col = vec![usize::MAX; nt];
+    for (c, &t) in alive.iter().enumerate() {
+        col[t] = c;
+    }
+    col
+}
+
+/// The label table of a graph generated from `mg`, indexed by transition
+/// id (`None` for dead ids).
+fn label_table(mg: &MgStg, alive: &[usize]) -> Vec<Option<TransitionLabel>> {
+    let mut labels = vec![None; alive.last().map_or(0, |&t| t + 1)];
+    for &t in alive {
+        labels[t] = Some(mg.label(t));
+    }
+    labels
+}
+
+/// The consistency violation of firing transition `t` of `mg`.
+fn inconsistent(mg: &MgStg, t: usize) -> StgError {
+    StgError::Inconsistent {
+        signal: mg.signal_name(mg.label(t).signal).to_string(),
+    }
+}
+
+/// The predecessor state graph an inherited σ exploration derives from.
+struct Inherit<'a> {
+    sg: &'a StateGraph,
+    rows: &'a SigmaRows,
+    /// Per transition id: whether the arc delta touches its incoming arcs.
+    changed: Vec<bool>,
+}
+
+/// One run of the σ-space kernel: the graph, its rows (fully indexed) and
+/// the parent counterpart of each state (all `None` without a parent).
+struct Explored {
+    sg: StateGraph,
+    rows: SigmaRows,
+    parent_of: Vec<Option<usize>>,
+}
+
+/// Where the exploration found an enabled transition's successor.
+enum Succ {
+    /// An existing child state.
+    Known(usize),
+    /// A new state whose row is the parent state's row.
+    Inherited(usize),
+    /// A new state with no parent counterpart; its row is in the buffer.
+    Fresh(u64),
+}
+
+/// The σ-space exploration kernel behind [`StateGraph::of_mg_sigma`] and
+/// [`StateGraph::of_mg_from`]. `mg` must be weakly connected, `alive` its
+/// alive transitions, and `parent` (if any) a graph over the same alive
+/// set.
+///
+/// It mirrors [`StateGraph::of_mg`]'s loop exactly — the same LIFO
+/// frontier, the same ascending transition order, the same consistency
+/// and budget checks at the same points — so it visits the same states in
+/// the same order and fails at the same point.
+///
+/// With a parent, a state that has a parent counterpart `p` inherits from
+/// it: a transition whose incoming arcs the delta leaves alone is enabled
+/// exactly where `p` has an edge for it, and its successor is the child
+/// of `p`'s successor — a state with a known row, found with no row built
+/// or hashed. Only the successors of delta-touched transitions and of
+/// states with no counterpart are looked up: first among the parent's
+/// rows, then among the child's own new rows, which are the only rows the
+/// child indexes while it explores.
+fn explore(
+    mg: &MgStg,
+    alive: &[usize],
+    budget: usize,
+    parent: Option<&Inherit<'_>>,
+) -> Result<Explored, StgError> {
+    let width = alive.len();
+    let col = columns(alive);
+    // Incoming arcs per column with token counts, flattened, for the
+    // firing-count enabling test `tokens + σ(src) − σ(dst) > 0`.
+    let mut pred_start = vec![0usize; width + 1];
+    for ((_, b), _) in mg.arcs() {
+        pred_start[col[b] + 1] += 1;
+    }
+    for c in 0..width {
+        pred_start[c + 1] += pred_start[c];
+    }
+    let mut preds = vec![(0usize, 0i64); pred_start[width]];
+    let mut fill = pred_start.clone();
+    for ((a, b), attr) in mg.arcs() {
+        preds[fill[col[b]]] = (col[a], i64::from(attr.tokens));
+        fill[col[b]] += 1;
+    }
+
+    // Per column: the code bit the transition flips, and the value the
+    // signal must not already have (consistency).
+    let flips: Vec<(u64, bool)> = alive
+        .iter()
+        .map(|&t| {
+            let label = mg.label(t);
+            (1u64 << label.signal.0, label.polarity.target_value())
+        })
+        .collect();
+    // A derived graph is usually about its parent's size: reserve for it.
+    let expect = parent.map_or(0, |par| par.rows.len());
+    let mut rows = SigmaRows::new(width);
+    rows.rows.reserve(expect * width);
+    rows.hashes.reserve(expect);
+    let mut buf = vec![0u32; width];
+    let h0 = hash_row(&buf);
+    rows.push(&buf, h0);
+    let p0 = parent.and_then(|par| par.rows.find(&buf, h0));
+    if p0.is_none() {
+        rows.index_last();
+    }
+    let mut parent_of = Vec::with_capacity(expect);
+    parent_of.push(p0);
+    // `child_of[p]` = the child state sharing parent state `p`'s row.
+    let mut child_of = vec![EMPTY; expect];
+    if let Some(p0) = p0 {
+        child_of[p0] = 0;
+    }
+    let mut states = Vec::with_capacity(expect);
+    states.push(SgState {
+        code: mg.initial_code(),
+    });
+    let mut edges: Vec<Vec<(usize, usize)>> = Vec::with_capacity(expect);
+    edges.push(Vec::new());
+    let mut frontier = vec![0usize];
+    // The columns of the transitions the delta touches, ascending.
+    let changed_cols: Vec<usize> = parent.map_or_else(Vec::new, |par| {
+        (0..width).filter(|&c| par.changed[alive[c]]).collect()
+    });
+    // The enabled transitions of the state being expanded, in ascending
+    // order, as `(column, successor of the parent counterpart)`.
+    let mut enabled: Vec<(usize, Option<usize>)> = Vec::with_capacity(width);
+
+    while let Some(i) = frontier.pop() {
+        enabled.clear();
+        {
+            let row = rows.row(i);
+            let sigma_enabled = |c: usize| {
+                preds[pred_start[c]..pred_start[c + 1]]
+                    .iter()
+                    .all(|&(a, tok)| tok + i64::from(row[a]) - i64::from(row[c]) > 0)
+            };
+            match parent.zip(parent_of[i]) {
+                // Merge the parent counterpart's edges of transitions the
+                // delta leaves alone with the σ test of the ones it
+                // touches; both run in ascending transition order.
+                Some((par, p)) => {
+                    let pe = &par.sg.edges[p];
+                    let mut k = 0;
+                    for &c in &changed_cols {
+                        while k < pe.len() && pe[k].0 < alive[c] {
+                            let (t, pj) = pe[k];
+                            if !par.changed[t] {
+                                enabled.push((col[t], Some(pj)));
+                            }
+                            k += 1;
+                        }
+                        if sigma_enabled(c) {
+                            enabled.push((c, None));
+                        }
+                    }
+                    for &(t, pj) in &pe[k..] {
+                        if !par.changed[t] {
+                            enabled.push((col[t], Some(pj)));
+                        }
+                    }
+                }
+                None => enabled.extend((0..width).filter(|&c| sigma_enabled(c)).map(|c| (c, None))),
+            }
+        }
+        let code = states[i].code;
+        edges[i].reserve_exact(enabled.len());
+        for &(c, parent_succ) in &enabled {
+            let t = alive[c];
+            let (bit, target) = flips[c];
+            if (code & bit != 0) == target {
+                return Err(inconsistent(mg, t));
+            }
+            let next_code = code ^ bit;
+            let succ = match parent_succ {
+                Some(pj) => match child_of[pj] {
+                    EMPTY => Succ::Inherited(pj),
+                    j => Succ::Known(j as usize),
+                },
+                None => {
+                    buf.copy_from_slice(rows.row(i));
+                    buf[c] += 1;
+                    normalize(&mut buf);
+                    let h = hash_row(&buf);
+                    match parent.and_then(|par| par.rows.find(&buf, h)) {
+                        Some(p) => match child_of[p] {
+                            EMPTY => Succ::Inherited(p),
+                            j => Succ::Known(j as usize),
+                        },
+                        None => match rows.find(&buf, h) {
+                            Some(j) => Succ::Known(j),
+                            None => Succ::Fresh(h),
+                        },
+                    }
+                }
+            };
+            if !matches!(succ, Succ::Known(_)) && states.len() >= budget {
+                return Err(StgError::Petri(si_petri::PetriError::StateBudgetExceeded {
+                    budget,
+                }));
+            }
+            let j = match succ {
+                Succ::Known(j) => {
+                    if states[j].code != next_code {
+                        return Err(inconsistent(mg, t));
+                    }
+                    j
+                }
+                Succ::Inherited(p) => {
+                    let par = parent.expect("inherited states have a parent");
+                    rows.push_from(par.rows, p);
+                    child_of[p] = u32::try_from(states.len()).expect("state ids fit in u32");
+                    parent_of.push(Some(p));
+                    states.len()
+                }
+                Succ::Fresh(h) => {
+                    rows.push(&buf, h);
+                    rows.index_last();
+                    parent_of.push(None);
+                    states.len()
+                }
+            };
+            if j == states.len() {
+                states.push(SgState { code: next_code });
+                edges.push(Vec::new());
+                frontier.push(j);
+            }
+            edges[i].push((t, j));
+        }
+    }
+    if rows.indexed < rows.len() {
+        rows.reindex();
+    }
+    Ok(Explored {
+        sg: StateGraph {
+            states,
+            edges,
+            labels: label_table(mg, alive),
+        },
+        rows,
+        parent_of,
+    })
 }
 
 /// The parent↔child state correspondence and the *affected cone* of one
@@ -67,6 +483,10 @@ pub struct SgMap {
     /// counterpart, or its code/edge list differs from the counterpart's
     /// under the correspondence).
     pub affected: Vec<bool>,
+    /// The child graph's σ rows. Passed to the next
+    /// [`StateGraph::of_mg_from`] that derives from the child graph, they
+    /// spare it the walk that would rebuild them.
+    pub rows: SigmaRows,
 }
 
 impl SgMap {
@@ -81,7 +501,12 @@ impl SgMap {
     /// tables differ, its code differs, or its edge list differs
     /// elementwise (transition ids, and successors related by
     /// `parent_of`).
-    fn derive(child: &StateGraph, parent: &StateGraph, parent_of: Vec<Option<usize>>) -> Self {
+    fn derive(explored: Explored, parent: &StateGraph) -> (StateGraph, Self) {
+        let Explored {
+            sg: child,
+            rows,
+            parent_of,
+        } = explored;
         let labels_match = child.labels == parent.labels;
         let affected = (0..child.states.len())
             .map(|i| match parent_of[i] {
@@ -97,10 +522,12 @@ impl SgMap {
                 }
             })
             .collect();
-        Self {
+        let map = Self {
             parent_of,
             affected,
-        }
+            rows,
+        };
+        (child, map)
     }
 }
 
@@ -217,17 +644,21 @@ impl StateGraph {
     /// relaxation-loop edit.
     ///
     /// `parent_sg` must be the graph [`StateGraph::of_mg`] returns for
-    /// `parent` (any budget it fits in). The contract is exact equivalence
-    /// with a scratch run: the returned graph is bit-identical to
-    /// `StateGraph::of_mg(mg, budget)` — same state indexing, same edge
-    /// order — and every failure (consistency violation, budget
-    /// exhaustion) is the error the scratch run would report, raised at
-    /// the same point of the exploration. The returned [`SgMap`] carries
-    /// the parent↔child state correspondence the delta path builds
-    /// internally plus the affected cone (see [`SgMap`] for the exact
-    /// reuse contract); it is `None` when the inputs were ineligible
-    /// (different alive-transition sets, or an arc skeleton that is not
-    /// weakly connected) and the result came from a scratch generation.
+    /// `parent` (any budget it fits in), and `parent_rows`, if given, the
+    /// [`SgMap::rows`] that came with `parent_sg` from an earlier call;
+    /// without them the parent's rows are rebuilt by walking `parent_sg`.
+    /// The contract is exact equivalence with a scratch run: the returned
+    /// graph is bit-identical to `StateGraph::of_mg(mg, budget)` — same
+    /// state indexing, same edge order — and every failure (consistency
+    /// violation, budget exhaustion) is the error the scratch run would
+    /// report, raised at the same point of the exploration. The returned
+    /// [`SgMap`] carries the parent↔child state correspondence plus the
+    /// affected cone (see [`SgMap`] for the exact reuse contract) and the
+    /// child's rows; it is `None` when the inputs were ineligible
+    /// (different alive-transition sets, or a parent or child arc skeleton
+    /// that is not weakly connected) and the result came from a scratch
+    /// generation — σ-keyed ([`StateGraph::of_mg_sigma`]) whenever `mg` is
+    /// weakly connected.
     ///
     /// The delta-guided path identifies states by *normalized firing-count
     /// vectors* instead of full markings: in a weakly connected marked
@@ -236,9 +667,9 @@ impl StateGraph {
     /// between predecessor and successor. A transition whose incoming arcs
     /// the delta does not touch is enabled in the successor exactly where
     /// the predecessor's graph has an edge for it — those verdicts (and
-    /// the successor states they lead to) are copied in O(1) per edge;
-    /// only transitions downstream of the edited arc, and states beyond
-    /// the predecessor's horizon, are recomputed.
+    /// the successor states they lead to) are copied in O(1) per edge,
+    /// with no state key built; only transitions downstream of the edited
+    /// arc, and states beyond the predecessor's horizon, are looked up.
     ///
     /// # Errors
     ///
@@ -246,163 +677,42 @@ impl StateGraph {
     pub fn of_mg_from(
         parent: &MgStg,
         parent_sg: &StateGraph,
+        parent_rows: Option<&SigmaRows>,
         mg: &MgStg,
         budget: usize,
     ) -> Result<(Self, Option<SgMap>), StgError> {
-        let alive = mg.transitions();
-        if parent.transitions() != alive || !mg.arcs_weakly_connected() {
+        if !mg.arcs_weakly_connected() {
             return Ok((Self::of_mg(mg, budget)?, None));
         }
-        let nt = alive.last().copied().expect("connected implies non-empty") + 1;
-
-        let mut labels: Vec<Option<TransitionLabel>> = Vec::new();
-        for &t in &alive {
-            while labels.len() <= t {
-                labels.push(None);
-            }
-            labels[t] = Some(mg.label(t));
+        let alive = mg.transitions();
+        if parent.transitions() != alive {
+            return Ok((explore(mg, &alive, budget, None)?.sg, None));
         }
-
+        // Rows are only ever built for weakly connected MGs. In any other
+        // parent a state's firing counts depend on the path that reached
+        // it, so there is nothing faithful to inherit through.
+        let rows = match parent_rows {
+            Some(r) if r.width == alive.len() && r.len() == parent_sg.state_count() => {
+                Cow::Borrowed(r)
+            }
+            _ if parent.arcs_weakly_connected() => {
+                Cow::Owned(SigmaRows::of_graph(parent_sg, &alive))
+            }
+            _ => return Ok((explore(mg, &alive, budget, None)?.sg, None)),
+        };
         // Transitions whose enabling the delta can affect (their incoming
         // arcs changed); everything else inherits the parent's verdicts.
-        let delta = parent.arc_delta(mg);
-        let mut changed_dst = vec![false; nt];
-        for t in delta.affected_dsts() {
-            changed_dst[t] = true;
+        let mut changed = vec![false; alive.last().map_or(0, |&t| t + 1)];
+        for t in parent.arc_delta(mg).affected_dsts() {
+            changed[t] = true;
         }
-        // Incoming arcs of each transition with token counts, for the
-        // firing-count enabling test `tokens + σ(src) − σ(dst) > 0`.
-        let mut preds_of: Vec<Vec<(usize, i64)>> = vec![Vec::new(); nt];
-        for ((a, b), attr) in mg.arcs() {
-            preds_of[b].push((a, i64::from(attr.tokens)));
-        }
-
-        // Recover the parent's firing-count vector per state (BFS over its
-        // edges from the initial state) and index states by the normalized
-        // vector.
-        let pn = parent_sg.states.len();
-        let mut parent_index: HashMap<Vec<i64>, usize> = HashMap::with_capacity(pn);
-        {
-            let mut sig: Vec<Vec<i64>> = vec![Vec::new(); pn];
-            sig[0] = vec![0i64; nt];
-            parent_index.insert(normalized(&sig[0], &alive), 0);
-            let mut stack = vec![0usize];
-            while let Some(p) = stack.pop() {
-                for &(t, j) in &parent_sg.edges[p] {
-                    if sig[j].is_empty() {
-                        let mut s = sig[p].clone();
-                        s[t] += 1;
-                        parent_index.insert(normalized(&s, &alive), j);
-                        sig[j] = s;
-                        stack.push(j);
-                    }
-                }
-            }
-        }
-
-        // The successor exploration, mirroring `of_mg`'s loop exactly:
-        // same LIFO frontier, same ascending transition order, same
-        // consistency and budget checks at the same points.
-        let mut index: HashMap<Vec<i64>, usize> = HashMap::new();
-        let mut sigma: Vec<Vec<i64>> = vec![vec![0i64; nt]];
-        let mut states = vec![SgState {
-            code: mg.initial_code(),
-        }];
-        let mut edges: Vec<Vec<(usize, usize)>> = vec![Vec::new()];
-        let key0 = normalized(&sigma[0], &alive);
-        let mapped0 = parent_index.get(&key0).copied();
-        index.insert(key0, 0);
-        // `mapped[i]` = the parent state sharing child state `i`'s
-        // firing-count class; `child_of_parent` is the inverse.
-        let mut mapped: Vec<Option<usize>> = vec![mapped0];
-        let mut child_of_parent: Vec<Option<usize>> = vec![None; pn];
-        if let Some(p0) = mapped0 {
-            child_of_parent[p0] = Some(0);
-        }
-        let mut frontier = vec![0usize];
-
-        while let Some(i) = frontier.pop() {
-            let code = states[i].code;
-            let at_parent = mapped[i];
-            for &t in &alive {
-                let (enabled, parent_succ) = match at_parent {
-                    Some(p) if !changed_dst[t] => {
-                        match parent_sg.edges[p].iter().find(|&&(u, _)| u == t) {
-                            Some(&(_, pj)) => (true, Some(pj)),
-                            None => (false, None),
-                        }
-                    }
-                    _ => {
-                        let s = &sigma[i];
-                        let enabled = preds_of[t].iter().all(|&(a, tok)| tok + s[a] - s[t] > 0);
-                        (enabled, None)
-                    }
-                };
-                if !enabled {
-                    continue;
-                }
-                let label = mg.label(t);
-                let bit = 1u64 << label.signal.0;
-                let before = code & bit != 0;
-                if before == label.polarity.target_value() {
-                    return Err(StgError::Inconsistent {
-                        signal: mg.signal_name(label.signal).to_string(),
-                    });
-                }
-                let next_code = code ^ bit;
-                let known = parent_succ.and_then(|pj| child_of_parent[pj]);
-                let j = match known {
-                    Some(j) => j,
-                    None => {
-                        let mut s2 = sigma[i].clone();
-                        s2[t] += 1;
-                        let key = normalized(&s2, &alive);
-                        match index.get(&key) {
-                            Some(&j) => {
-                                if let Some(pj) = parent_succ {
-                                    child_of_parent[pj] = Some(j);
-                                }
-                                j
-                            }
-                            None => {
-                                if states.len() >= budget {
-                                    return Err(StgError::Petri(
-                                        si_petri::PetriError::StateBudgetExceeded { budget },
-                                    ));
-                                }
-                                let j = states.len();
-                                let pm = match parent_succ {
-                                    Some(pj) => Some(pj),
-                                    None => parent_index.get(&key).copied(),
-                                };
-                                if let Some(pp) = pm {
-                                    child_of_parent[pp] = Some(j);
-                                }
-                                mapped.push(pm);
-                                index.insert(key, j);
-                                sigma.push(s2);
-                                states.push(SgState { code: next_code });
-                                edges.push(Vec::new());
-                                frontier.push(j);
-                                j
-                            }
-                        }
-                    }
-                };
-                if states[j].code != next_code {
-                    return Err(StgError::Inconsistent {
-                        signal: mg.signal_name(label.signal).to_string(),
-                    });
-                }
-                edges[i].push((t, j));
-            }
-        }
-        let sg = Self {
-            states,
-            edges,
-            labels,
+        let inherit = Inherit {
+            sg: parent_sg,
+            rows: &rows,
+            changed,
         };
-        let map = SgMap::derive(&sg, parent_sg, mapped);
+        let explored = explore(mg, &alive, budget, Some(&inherit))?;
+        let (sg, map) = SgMap::derive(explored, parent_sg);
         Ok((sg, Some(map)))
     }
 
@@ -430,85 +740,8 @@ impl StateGraph {
         if !mg.arcs_weakly_connected() {
             return Self::of_mg(mg, budget);
         }
-        let alive = mg.transitions();
-        let nt = alive.last().copied().expect("connected implies non-empty") + 1;
-        let mut labels: Vec<Option<TransitionLabel>> = Vec::new();
-        for &t in &alive {
-            while labels.len() <= t {
-                labels.push(None);
-            }
-            labels[t] = Some(mg.label(t));
-        }
-        let mut preds_of: Vec<Vec<(usize, i64)>> = vec![Vec::new(); nt];
-        for ((a, b), attr) in mg.arcs() {
-            preds_of[b].push((a, i64::from(attr.tokens)));
-        }
-
-        let mut index: HashMap<Vec<i64>, usize> = HashMap::new();
-        let mut sigma: Vec<Vec<i64>> = vec![vec![0i64; nt]];
-        let mut states = vec![SgState {
-            code: mg.initial_code(),
-        }];
-        let mut edges: Vec<Vec<(usize, usize)>> = vec![Vec::new()];
-        index.insert(normalized(&sigma[0], &alive), 0);
-        let mut frontier = vec![0usize];
-
-        while let Some(i) = frontier.pop() {
-            let code = states[i].code;
-            for &t in &alive {
-                let enabled = {
-                    let s = &sigma[i];
-                    preds_of[t].iter().all(|&(a, tok)| tok + s[a] - s[t] > 0)
-                };
-                if !enabled {
-                    continue;
-                }
-                let label = mg.label(t);
-                let bit = 1u64 << label.signal.0;
-                let before = code & bit != 0;
-                if before == label.polarity.target_value() {
-                    return Err(StgError::Inconsistent {
-                        signal: mg.signal_name(label.signal).to_string(),
-                    });
-                }
-                let next_code = code ^ bit;
-                let mut s2 = sigma[i].clone();
-                s2[t] += 1;
-                let key = normalized(&s2, &alive);
-                let j = match index.get(&key) {
-                    Some(&j) => {
-                        if states[j].code != next_code {
-                            return Err(StgError::Inconsistent {
-                                signal: mg.signal_name(label.signal).to_string(),
-                            });
-                        }
-                        j
-                    }
-                    None => {
-                        if states.len() >= budget {
-                            return Err(StgError::Petri(
-                                si_petri::PetriError::StateBudgetExceeded { budget },
-                            ));
-                        }
-                        let j = states.len();
-                        index.insert(key, j);
-                        sigma.push(s2);
-                        states.push(SgState { code: next_code });
-                        edges.push(Vec::new());
-                        frontier.push(j);
-                        j
-                    }
-                };
-                edges[i].push((t, j));
-            }
-        }
-        Ok(Self {
-            states,
-            edges,
-            labels,
-        })
+        Ok(explore(mg, &mg.transitions(), budget, None)?.sg)
     }
-
     /// Generates the state graph of a full (possibly free-choice) STG.
     ///
     /// # Errors
@@ -913,7 +1146,7 @@ o- x+
         let parent_sg = StateGraph::of_mg(&parent, 1000).expect("consistent");
         let scratch = StateGraph::of_mg(&child, 1000).expect("consistent");
         let (inc, map) =
-            StateGraph::of_mg_from(&parent, &parent_sg, &child, 1000).expect("derives");
+            StateGraph::of_mg_from(&parent, &parent_sg, None, &child, 1000).expect("derives");
         let map = map.expect("a relaxation edit must take the delta path");
         assert_eq!(inc, scratch);
         assert!(
@@ -966,7 +1199,8 @@ o- x+
         child.insert_arc(ackm, reqp, 0, false);
         child.set_initial_code(1);
         let scratch = StateGraph::of_mg(&child, 100).expect("consistent");
-        let (inc, map) = StateGraph::of_mg_from(&mg, &parent_sg, &child, 100).expect("derives");
+        let (inc, map) =
+            StateGraph::of_mg_from(&mg, &parent_sg, None, &child, 100).expect("derives");
         let map = map.expect("delta path");
         assert_eq!(inc, scratch);
         assert_sg_map_contract(&inc, &parent_sg, &map);
@@ -983,7 +1217,8 @@ o- x+
         let parent_sg = StateGraph::of_mg(&parent, 1000).expect("consistent");
         for budget in 1..=10 {
             let scratch = StateGraph::of_mg(&child, budget);
-            let inc = StateGraph::of_mg_from(&parent, &parent_sg, &child, budget).map(|(sg, _)| sg);
+            let inc =
+                StateGraph::of_mg_from(&parent, &parent_sg, None, &child, budget).map(|(sg, _)| sg);
             assert_eq!(inc, scratch, "budget {budget}");
         }
         // An inconsistent edit (removing y+'s only ordering toward o+
@@ -995,9 +1230,45 @@ o- x+
         bad.remove_arc(yp, op);
         bad.insert_arc(om, op, 1, false);
         let scratch = StateGraph::of_mg(&bad, 1000);
-        let inc = StateGraph::of_mg_from(&parent, &parent_sg, &bad, 1000).map(|(sg, _)| sg);
+        let inc = StateGraph::of_mg_from(&parent, &parent_sg, None, &bad, 1000).map(|(sg, _)| sg);
         assert!(scratch.is_err(), "edit must be inconsistent");
         assert_eq!(inc, scratch);
+    }
+
+    #[test]
+    fn incremental_regeneration_from_a_disconnected_parent_matches_scratch() {
+        // Two independent handshake rings: in the parent's state graph a
+        // state's firing counts depend on the path that reached it, so
+        // an arc that joins the rings must not inherit through them.
+        let mut stg = Stg::new("rings");
+        let a = stg.add_signal("a", SignalKind::Input);
+        let b = stg.add_signal("b", SignalKind::Input);
+        let mut parent = MgStg::empty_like(&stg);
+        let ap = parent.add_transition(TransitionLabel::new(a, Polarity::Plus, 1));
+        let am = parent.add_transition(TransitionLabel::new(a, Polarity::Minus, 1));
+        let bp = parent.add_transition(TransitionLabel::new(b, Polarity::Plus, 1));
+        let bm = parent.add_transition(TransitionLabel::new(b, Polarity::Minus, 1));
+        parent.insert_arc(ap, am, 0, false);
+        parent.insert_arc(am, ap, 1, false);
+        parent.insert_arc(bp, bm, 0, false);
+        parent.insert_arc(bm, bp, 1, false);
+        assert!(!parent.arcs_weakly_connected());
+        let parent_sg = StateGraph::of_mg(&parent, 100).expect("consistent");
+        for (src, dst) in [(ap, bp), (am, bp), (bm, ap), (bp, am)] {
+            for tokens in 0..=2 {
+                let mut child = parent.clone();
+                child.insert_arc(src, dst, tokens, false);
+                for budget in [1, 2, 3, 100] {
+                    let inc = StateGraph::of_mg_from(&parent, &parent_sg, None, &child, budget)
+                        .map(|(sg, _)| sg);
+                    assert_eq!(
+                        inc,
+                        StateGraph::of_mg(&child, budget),
+                        "arc {src}->{dst} with {tokens} tokens, budget {budget}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -1017,12 +1288,26 @@ o- x+
         child.insert_arc(ackp, ackm, 0, false);
         child.insert_arc(ackm, ackp, 1, false);
         let scratch = StateGraph::of_mg(&child, 100).expect("consistent");
-        let (inc, map) = StateGraph::of_mg_from(&mg, &parent_sg, &child, 100).expect("derives");
+        let (inc, map) =
+            StateGraph::of_mg_from(&mg, &parent_sg, None, &child, 100).expect("derives");
         assert!(
             map.is_none(),
             "a removed transition must force the fallback"
         );
         assert_eq!(inc, scratch);
+        // The fallback is the σ kernel (the child is weakly connected),
+        // identical to both cold generators under every budget.
+        assert!(child.arcs_weakly_connected());
+        for budget in 1..=5 {
+            let inc =
+                StateGraph::of_mg_from(&mg, &parent_sg, None, &child, budget).map(|(sg, _)| sg);
+            assert_eq!(inc, StateGraph::of_mg(&child, budget), "budget {budget}");
+            assert_eq!(
+                inc,
+                StateGraph::of_mg_sigma(&child, budget),
+                "budget {budget}"
+            );
+        }
     }
 
     #[test]
@@ -1036,7 +1321,8 @@ o- x+
         let reqm = mg.transition_by_label("req-").expect("present");
         let mut child = mg.clone();
         child.insert_arc(reqp, reqm, 0, false);
-        let (inc, map) = StateGraph::of_mg_from(&mg, &parent_sg, &child, 100).expect("derives");
+        let (inc, map) =
+            StateGraph::of_mg_from(&mg, &parent_sg, None, &child, 100).expect("derives");
         let map = map.expect("delta path");
         assert_eq!(inc, StateGraph::of_mg(&child, 100).expect("consistent"));
         assert_eq!(map.unaffected_count(), inc.state_count());
@@ -1058,6 +1344,32 @@ o- x+
             let scratch = StateGraph::of_mg(&child, budget);
             let sigma = StateGraph::of_mg_sigma(&child, budget);
             assert_eq!(sigma, scratch, "budget {budget}");
+        }
+    }
+
+    #[test]
+    fn explored_rows_equal_the_rows_walked_from_the_graph() {
+        // The rows the kernel hands forward must be exactly the rows a
+        // walk of the finished graph rebuilds, and index every state.
+        let (parent, child) = chain_and_relaxed();
+        let parent_sg = StateGraph::of_mg(&parent, 1000).expect("consistent");
+        for mg in [&parent, &child] {
+            let alive = mg.transitions();
+            let explored = explore(mg, &alive, 1000, None).expect("consistent");
+            let walked = SigmaRows::of_graph(&explored.sg, &alive);
+            assert_eq!(explored.rows, walked);
+            for i in 0..walked.len() {
+                let row = walked.row(i);
+                assert_eq!(explored.rows.find(row, hash_row(row)), Some(i));
+            }
+        }
+        let (sg, map) =
+            StateGraph::of_mg_from(&parent, &parent_sg, None, &child, 1000).expect("derives");
+        let map = map.expect("delta path");
+        assert_eq!(map.rows, SigmaRows::of_graph(&sg, &child.transitions()));
+        for i in 0..sg.state_count() {
+            let row = map.rows.row(i);
+            assert_eq!(map.rows.find(row, hash_row(row)), Some(i));
         }
     }
 

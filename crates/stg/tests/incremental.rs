@@ -30,7 +30,7 @@ proptest! {
         let child = edit.apply_mg(&parent);
         let scratch = StateGraph::of_mg(&child, 10_000);
         let incremental =
-            StateGraph::of_mg_from(&parent, &parent_sg, &child, 10_000).map(|(sg, _)| sg);
+            StateGraph::of_mg_from(&parent, &parent_sg, None, &child, 10_000).map(|(sg, _)| sg);
         prop_assert_eq!(incremental, scratch);
     }
 
@@ -46,7 +46,7 @@ proptest! {
         };
         let child = edit.apply_mg(&parent);
         let Ok((child_sg, Some(map))) =
-            StateGraph::of_mg_from(&parent, &parent_sg, &child, 10_000) else {
+            StateGraph::of_mg_from(&parent, &parent_sg, None, &child, 10_000) else {
             return Ok(()); // error or scratch fallback: no map to check
         };
         prop_assert_eq!(map.parent_of.len(), child_sg.state_count());
@@ -96,7 +96,7 @@ proptest! {
         for budget in [1usize, 2, 3, 5, 9, 17] {
             let scratch = StateGraph::of_mg(&child, budget);
             let incremental =
-                StateGraph::of_mg_from(&parent, &parent_sg, &child, budget).map(|(sg, _)| sg);
+                StateGraph::of_mg_from(&parent, &parent_sg, None, &child, budget).map(|(sg, _)| sg);
             prop_assert_eq!(incremental, scratch);
         }
     }

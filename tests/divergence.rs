@@ -153,7 +153,11 @@ fn scheduler_on_equals_scheduler_off_on_all_converging_circuits() {
             assert!(relax > 0, "{}: scheduler never observed", bench.name);
         }
         let off_sched: usize = off.gates.iter().map(|g| g.sched_fingerprints).sum();
-        assert_eq!(off_sched, 0, "{}: exhaust policy must not fingerprint", bench.name);
+        assert_eq!(
+            off_sched, 0,
+            "{}: exhaust policy must not fingerprint",
+            bench.name
+        );
     }
     for (spec, seed) in corpus_fixture_specs() {
         let circuit = generate(&spec, seed);
@@ -189,10 +193,7 @@ fn exhaust_policy_keeps_the_historical_budget_semantics() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 8,
-        .. ProptestConfig::default()
-    })]
+    #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Random corpus circuits under an aggressively small watchdog
     /// window (8): trips are common, and whatever the verdict —

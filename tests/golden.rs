@@ -212,6 +212,11 @@ fn golden_snapshots_pin_the_reference_output_for_corpus_fixtures() {
 /// terminates deterministically, in well under a second, with a
 /// `Diverged` verdict whose rendering — gate, detector, iteration and
 /// trailing arc sequence — is golden-pinned.
+/// State-graph builds of the seed-189 derivation up to its bail (the
+/// pre-checks plus the trials of the 179-iteration loop): the
+/// deterministic work ceiling next to the wall-clock bound.
+const SEED_189_SG_BUILD_CEILING: usize = 257;
+
 #[test]
 fn golden_snapshot_pins_the_seed_189_divergence() {
     let update = std::env::var("UPDATE_GOLDEN").is_ok_and(|v| v == "1");
@@ -233,6 +238,14 @@ fn golden_snapshot_pins_the_seed_189_divergence() {
     assert!(
         elapsed < std::time::Duration::from_secs(1),
         "seed 189 must bail in under a second at the default budget, took {elapsed:?}"
+    );
+    // The host-independent half of the same contract: the bail costs at
+    // most this many state-graph builds (SG-cache misses), whatever the
+    // host's speed.
+    let sg_builds = engine.cache_stats().misses;
+    assert!(
+        sg_builds <= SEED_189_SG_BUILD_CEILING,
+        "seed 189 must bail within {SEED_189_SG_BUILD_CEILING} state-graph builds, took {sg_builds}"
     );
     // A second, warm run of the same engine must reach the identical
     // verdict: the scheduler's inputs are cache-independent.
