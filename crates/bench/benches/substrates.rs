@@ -1,6 +1,6 @@
 //! Criterion benches for the substrates: state-graph generation, MG
-//! decomposition, projection, redundancy elimination, two-level
-//! minimization and the event simulator.
+//! decomposition, projection and arc relaxation (each ending in the
+//! redundant-arc sweep), two-level minimization and the event simulator.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use si_sim::{simulate, DelayModel};
@@ -26,6 +26,38 @@ fn bench_projection(c: &mut Criterion) {
     c.bench_function("projection/imec-gate-i0", |b| {
         b.iter(|| mg.project_on_gate(i0, &[pre, wenin]).expect("projects"))
     });
+}
+
+/// Algorithm 2 on its own: one iteration clones the graph and relaxes one
+/// arc, cycling through every relaxable arc, so the redundant-arc sweep
+/// that ends each relaxation dominates. Measured on the gate-i0 local STG
+/// (what the relaxation loop sees) and on the whole imec marked graph
+/// (a larger sweep).
+fn bench_relax_arc(c: &mut Criterion) {
+    let stg = si_stg::parse_astg(si_stg::IMEC_RAM_READ_SBUF_G).expect("valid");
+    let mg = MgStg::from_stg_mg(&stg).expect("marked graph");
+    let i0 = stg.signal_by_name("i0").expect("declared");
+    let pre = stg.signal_by_name("precharged").expect("declared");
+    let wenin = stg.signal_by_name("wenin").expect("declared");
+    let local = mg.project_on_gate(i0, &[pre, wenin]).expect("projects");
+    let mut group = c.benchmark_group("relax_arc");
+    for (name, g) in [("imec-gate-i0", &local), ("imec-ram-read-sbuf", &mg)] {
+        let arcs: Vec<(usize, usize)> = g
+            .arcs()
+            .filter(|&((a, b), attr)| !attr.restriction && !g.label(a).same_signal(&g.label(b)))
+            .map(|(k, _)| k)
+            .collect();
+        let mut next = 0usize;
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let (x, y) = arcs[next % arcs.len()];
+                next += 1;
+                let mut trial = g.clone();
+                si_core::relax_arc(&mut trial, x, y).is_ok()
+            })
+        });
+    }
+    group.finish();
 }
 
 fn bench_decomposition(c: &mut Criterion) {
@@ -89,6 +121,7 @@ criterion_group!(
     benches,
     bench_state_graph,
     bench_projection,
+    bench_relax_arc,
     bench_decomposition,
     bench_minimization,
     bench_simulation,

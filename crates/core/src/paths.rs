@@ -116,27 +116,43 @@ impl AdversaryOracle {
     /// The tightest adversary path realizing `x* ⇒ y*`, if any causal path
     /// exists at all.
     pub fn path(&self, x: TransitionLabel, y: TransitionLabel) -> Option<AdversaryPath> {
+        self.with_path(x, y, |p| p.cloned())
+    }
+
+    /// Applies `f` to the memoized answer for `x* ⇒ y*`, searching on a
+    /// miss. A hit is read under the memo lock, so callers that need one
+    /// field (the relaxation order asks for [`AdversaryPath::weight_key`]
+    /// of every relaxable arc on every iteration) never clone the hops.
+    fn with_path<R>(
+        &self,
+        x: TransitionLabel,
+        y: TransitionLabel,
+        f: impl FnOnce(Option<&AdversaryPath>) -> R,
+    ) -> R {
         if let Some(hit) = self.memo.lock().expect("oracle memo poisoned").get(&(x, y)) {
-            return hit.clone();
+            return f(hit.as_ref());
         }
         let found = self.search(x, y, false).or_else(|| self.search(x, y, true));
+        let out = f(found.as_ref());
         self.memo
             .lock()
             .expect("oracle memo poisoned")
-            .insert((x, y), found.clone());
-        found
+            .insert((x, y), found);
+        out
     }
 
     /// Sort key used by `find_tightest_arc` (Sec. 5.5): unknown paths sort
     /// last.
     pub fn weight_key(&self, x: TransitionLabel, y: TransitionLabel) -> (bool, u32) {
-        self.path(x, y).map_or((true, u32::MAX), |p| p.weight_key())
+        self.with_path(x, y, |p| {
+            p.map_or((true, u32::MAX), AdversaryPath::weight_key)
+        })
     }
 
     /// The Table 7.2 level of a constraint, `None` when the path crosses
     /// the environment or does not exist.
     pub fn level(&self, x: TransitionLabel, y: TransitionLabel) -> Option<u32> {
-        self.path(x, y).and_then(|p| p.level())
+        self.with_path(x, y, |p| p.and_then(AdversaryPath::level))
     }
 
     fn search(

@@ -73,7 +73,11 @@ pub fn relax_arc(g: &mut MgStg, x: usize, y: usize) -> Result<(), StgError> {
         }
         g.insert_arc(x, d, tokens, false);
     }
-    // Line 16: delete the relaxed arc; line 17: sweep redundancy.
+    // Line 16: delete the relaxed arc; line 17: sweep redundancy. Unlike a
+    // projection step this sweeps every arc, not only the bypasses: the
+    // arcs into `x` and out of `y` stay, and a path through a bypass maps
+    // back to an old path through them. Only liveness (every cycle carries
+    // a token) would keep them irredundant, and the input need not be live.
     g.remove_arc(x, y);
     g.eliminate_redundant_arcs();
     Ok(())

@@ -7,6 +7,7 @@
 //! relaxation engine needs (precedence, concurrency, liveness, safeness and
 //! the Algorithm 3 shortcut-place redundancy check).
 
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::sync::Arc;
 
@@ -454,12 +455,11 @@ impl MgStg {
             .collect()
     }
 
-    /// Successor transitions of `t` (thesis `t.`).
+    /// Successor transitions of `t` (thesis `t.`), ascending.
     pub fn succs(&self, t: usize) -> Vec<usize> {
         self.arcs
-            .keys()
-            .filter(|&&(a, _)| a == t)
-            .map(|&(_, b)| b)
+            .range((t, 0)..=(t, usize::MAX))
+            .map(|(&(_, b), _)| b)
             .collect()
     }
 
@@ -524,15 +524,27 @@ impl MgStg {
         dist[b]
     }
 
+    /// Whether a non-empty token-free directed path `a → b` exists; with
+    /// `a == b`, whether a token-free cycle runs through `a`. Equal to
+    /// `min_token_path(a, b, false) == Some(0)`, answered by the bounded
+    /// path query of the redundancy sweep at bound 0.
+    pub fn token_free_path(&self, a: usize, b: usize) -> bool {
+        PathQuery::new(self).within(a, b, 0, None)
+    }
+
     /// Whether `a` must fire before `b` in the current cycle: a token-free
     /// directed path `a → b` exists.
     pub fn precedes(&self, a: usize, b: usize) -> bool {
-        a != b && self.min_token_path(a, b, false) == Some(0)
+        a != b && self.token_free_path(a, b)
     }
 
     /// Whether `a` and `b` are concurrent (neither precedes the other).
     pub fn concurrent(&self, a: usize, b: usize) -> bool {
-        a != b && !self.precedes(a, b) && !self.precedes(b, a)
+        if a == b {
+            return false;
+        }
+        let mut q = PathQuery::new(self);
+        !q.within(a, b, 0, None) && !q.within(b, a, 0, None)
     }
 
     /// Whether the MG is live: strongly connected over alive transitions
@@ -613,52 +625,58 @@ impl MgStg {
     /// carries no more tokens than the arc itself, or the arc is a marked
     /// self-loop ("loop-only place").
     pub fn is_redundant_arc(&self, src: usize, dst: usize) -> bool {
-        self.is_redundant_arc_in(&self.succ_adjacency(), src, dst)
+        self.arc(src, dst)
+            .is_some_and(|attr| self.redundant_in(&mut PathQuery::new(self), src, dst, attr))
     }
 
-    /// [`MgStg::is_redundant_arc`] over a prebuilt adjacency (which must
-    /// mirror the current arc set).
-    fn is_redundant_arc_in(&self, adj: &[Vec<(usize, u32)>], src: usize, dst: usize) -> bool {
-        let Some(attr) = self.arc(src, dst) else {
-            return false;
-        };
+    /// [`MgStg::is_redundant_arc`] for the present arc `src ⇒ dst` with
+    /// attributes `attr`, over `q` (whose adjacency mirrors the arc set).
+    ///
+    /// The arc carries `k = attr.tokens` tokens, so it is redundant iff
+    /// some other path `src → dst` weighs at most `k`: the search needs
+    /// nothing heavier than `k` and ends when `dst` is settled.
+    fn redundant_in(&self, q: &mut PathQuery, src: usize, dst: usize, attr: ArcAttr) -> bool {
         if src == dst {
             return attr.tokens >= 1;
         }
-        match self.min_token_path_in(adj, src, dst, true) {
-            Some(weight) => weight <= attr.tokens,
-            None => false,
-        }
+        q.within(src, dst, attr.tokens, Some((src, dst)))
     }
 
     /// Removes every redundant non-restriction arc (thesis Sec. 5.3.3);
-    /// returns the removed arcs.
+    /// returns the removed arcs in removal order.
+    ///
+    /// One sweep in arc-key order reaches the fixpoint. Redundancy of an
+    /// arc asks for *another* path at most as heavy, and removing an arc
+    /// only removes paths, so an arc found irredundant stays irredundant
+    /// for the rest of the sweep and after it: a second sweep would
+    /// remove nothing.
     pub fn eliminate_redundant_arcs(&mut self) -> Vec<(usize, usize)> {
+        let candidates: Vec<(usize, usize)> = self.arcs.keys().copied().collect();
+        let mut q = PathQuery::new(self);
+        self.sweep_arcs(&mut q, &candidates)
+    }
+
+    /// The sweep of [`MgStg::eliminate_redundant_arcs`] restricted to
+    /// `candidates` (ascending arc keys; absent and restriction arcs are
+    /// skipped), over `q`, whose adjacency must mirror the arc set and is
+    /// kept in step with every removal. Returns the removed arcs.
+    pub(crate) fn sweep_arcs(
+        &mut self,
+        q: &mut PathQuery,
+        candidates: &[(usize, usize)],
+    ) -> Vec<(usize, usize)> {
         let mut removed = Vec::new();
-        loop {
-            let candidates: Vec<(usize, usize)> = self
-                .arcs
-                .iter()
-                .filter(|&(_, attr)| !attr.restriction)
-                .map(|(&k, _)| k)
-                .collect();
-            // One adjacency per sweep, patched in place on removal: the
-            // per-candidate Dijkstras dominate projection, so they must not
-            // each rescan the whole arc map.
-            let mut adj = self.succ_adjacency();
-            let mut changed = false;
-            for (a, b) in candidates {
-                if self.arcs.contains_key(&(a, b)) && self.is_redundant_arc_in(&adj, a, b) {
-                    self.remove_arc(a, b);
-                    adj[a].retain(|&(d, _)| d != b);
-                    removed.push((a, b));
-                    changed = true;
-                }
-            }
-            if !changed {
-                return removed;
+        for &(a, b) in candidates {
+            let Some(attr) = self.arc(a, b).filter(|attr| !attr.restriction) else {
+                continue;
+            };
+            if self.redundant_in(q, a, b, attr) {
+                self.arcs.remove(&(a, b));
+                q.remove_arc(a, b);
+                removed.push((a, b));
             }
         }
+        removed
     }
 
     /// The initial marking as a map from arcs to token counts.
@@ -702,6 +720,93 @@ impl MgStg {
             }
         }
         next
+    }
+}
+
+/// Reusable buffers for bounded min-token path queries over an
+/// [`MgStg`]: the successor adjacency, the tentative distances and the
+/// Dijkstra heap. A redundancy sweep builds one and keeps it for every
+/// check, patching the adjacency as arcs go.
+#[derive(Debug, Default)]
+pub(crate) struct PathQuery {
+    adj: Vec<Vec<(usize, u32)>>,
+    /// Tentative distance per transition; `u32::MAX` is "not reached".
+    dist: Vec<u32>,
+    /// Transitions whose `dist` a query set, reset before it returns.
+    reached: Vec<usize>,
+    heap: BinaryHeap<Reverse<(u32, usize)>>,
+}
+
+impl PathQuery {
+    /// Buffers whose adjacency mirrors `mg`'s arcs.
+    pub(crate) fn new(mg: &MgStg) -> Self {
+        let mut q = Self::default();
+        q.load(mg);
+        q
+    }
+
+    /// Rebuilds the adjacency from `mg`'s arcs, keeping every allocation.
+    pub(crate) fn load(&mut self, mg: &MgStg) {
+        let n = mg.transitions.len();
+        self.adj.iter_mut().for_each(Vec::clear);
+        self.adj.resize_with(n, Vec::new);
+        self.dist.resize(n, u32::MAX);
+        for (&(src, dst), attr) in &mg.arcs {
+            self.adj[src].push((dst, attr.tokens));
+        }
+    }
+
+    /// Drops arc `a ⇒ b` from the adjacency.
+    fn remove_arc(&mut self, a: usize, b: usize) {
+        self.adj[a].retain(|&(d, _)| d != b);
+    }
+
+    /// Whether a non-empty path `a → b` avoiding the arc `blocked` weighs
+    /// at most `bound` tokens (`a == b`: a cycle through `a`). Same answer
+    /// as `min_token_path(a, b, blocked.is_some()) <= bound`, but Dijkstra
+    /// never queues a node heavier than `bound` — every prefix of a path
+    /// within the bound is within it too, since weights are non-negative —
+    /// and stops as soon as `b` is settled.
+    pub(crate) fn within(
+        &mut self,
+        a: usize,
+        b: usize,
+        bound: u32,
+        blocked: Option<(usize, usize)>,
+    ) -> bool {
+        // Seed with the arcs leaving `a` so that paths are non-empty; `a`
+        // itself gets a distance only if reached again through a cycle.
+        self.relax_from(a, 0, bound, blocked);
+        let mut found = false;
+        while let Some(Reverse((d, n))) = self.heap.pop() {
+            if d > self.dist[n] {
+                continue;
+            }
+            if n == b {
+                found = true;
+                break;
+            }
+            self.relax_from(n, d, bound, blocked);
+        }
+        self.heap.clear();
+        for t in self.reached.drain(..) {
+            self.dist[t] = u32::MAX;
+        }
+        found
+    }
+
+    fn relax_from(&mut self, n: usize, d: u32, bound: u32, blocked: Option<(usize, usize)>) {
+        for &(dst, tokens) in &self.adj[n] {
+            let nd = d.saturating_add(tokens);
+            if nd > bound || nd >= self.dist[dst] || blocked == Some((n, dst)) {
+                continue;
+            }
+            if self.dist[dst] == u32::MAX {
+                self.reached.push(dst);
+            }
+            self.dist[dst] = nd;
+            self.heap.push(Reverse((nd, dst)));
+        }
     }
 }
 

@@ -7,7 +7,7 @@
 
 use std::collections::BTreeSet;
 
-use crate::mg::MgStg;
+use crate::mg::{MgStg, PathQuery};
 use crate::signal::SignalId;
 use crate::stg::StgError;
 
@@ -16,18 +16,32 @@ impl MgStg {
     /// transition whose signal is not in the set, preserving the firing
     /// order of the kept transitions.
     ///
+    /// After each hiding step the graph is swept of redundant arcs
+    /// (Algorithm 3). The first step sweeps every arc. A later step sweeps
+    /// only the bypass arcs it inserted or whose tokens it lowered, in key
+    /// order, and removes exactly what a full sweep would. Before the step
+    /// every non-restriction arc is irredundant. A path through a bypass
+    /// `a ⇒ b` maps to the old path `a → t → b` of equal weight, and an
+    /// untouched arc is not incident to the hidden `t`. So any path at
+    /// most as heavy as an untouched arc already existed before the step,
+    /// and the arc stays irredundant.
+    ///
     /// # Errors
     ///
     /// [`StgError::MalformedMarkedGraph`] if hiding exposes a token-free
     /// self-loop (the input was not live).
     pub fn project(&self, keep: &BTreeSet<SignalId>) -> Result<MgStg, StgError> {
         let mut g = self.clone();
+        let mut query = PathQuery::default();
+        let mut touched = Vec::new();
+        let mut first_hide = true;
         for t in g.transitions() {
             if keep.contains(&g.label(t).signal) {
                 continue;
             }
             let preds = g.preds(t);
             let succs = g.succs(t);
+            touched.clear();
             for &a in &preds {
                 let in_tokens = g.arc(a, t).expect("pred arc").tokens;
                 for &b in &succs {
@@ -47,11 +61,24 @@ impl MgStg {
                         }
                         continue;
                     }
+                    if g.arc(a, b).is_none_or(|old| tokens < old.tokens) {
+                        touched.push((a, b));
+                    }
                     g.insert_arc(a, b, tokens, false);
                 }
             }
             g.remove_transition(t);
-            g.eliminate_redundant_arcs();
+            if first_hide {
+                // Nothing is known of the input's arcs: sweep them all.
+                first_hide = false;
+                touched.clear();
+                touched.extend(g.arcs().map(|(k, _)| k));
+            }
+            if !touched.is_empty() {
+                touched.sort_unstable();
+                query.load(&g);
+                g.sweep_arcs(&mut query, &touched);
+            }
         }
         Ok(g)
     }
