@@ -100,58 +100,6 @@ fn bench_engine_suite_batch(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_incremental_regeneration(c: &mut Criterion) {
-    // The PR's reuse layers A/B'd on the relaxation-heavy gold circuit:
-    // cold derivation with trials regenerated from scratch vs derived
-    // incrementally from their predecessors, and the warm full-suite pass
-    // under the cache-only (PR-2) configuration vs the full stack
-    // (incremental + delta tier + projection memo).
-    let bench = si_suite::benchmark("imec-ram-read-sbuf").expect("bundled");
-    let (stg, library) = load(&bench);
-    let mut group = c.benchmark_group("incremental");
-    group.sample_size(10);
-    for (name, incremental) in [("cold_scratch", false), ("cold_incremental", true)] {
-        let engine = Engine::new(EngineConfig {
-            incremental,
-            memo_projection: false,
-            ..EngineConfig::default()
-        });
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                engine.clear_cache();
-                engine
-                    .run(&stg, &library)
-                    .expect("derives")
-                    .report
-                    .constraints
-                    .len()
-            })
-        });
-    }
-    for (name, config) in [
-        (
-            "warm_suite_cache_only",
-            EngineConfig {
-                incremental: false,
-                memo_projection: false,
-                ..EngineConfig::default()
-            },
-        ),
-        ("warm_suite_full_reuse", EngineConfig::default()),
-    ] {
-        let engine = Engine::new(config);
-        si_suite::run_suite(&engine).unwrap_or_else(|e| panic!("priming pass failed: {e}"));
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                si_suite::run_suite(&engine)
-                    .unwrap_or_else(|e| panic!("warm suite failed: {e}"))
-                    .len()
-            })
-        });
-    }
-    group.finish();
-}
-
 fn bench_baseline_only(c: &mut Criterion) {
     // The baseline (Keller et al.) set needs only projection, no
     // relaxation loop: the gap to the full derivation is the cost of the
@@ -239,7 +187,6 @@ criterion_group!(
     bench_derivation,
     bench_engine_configs,
     bench_engine_suite_batch,
-    bench_incremental_regeneration,
     bench_baseline_only,
     bench_order_ablation,
     bench_relax_sched

@@ -27,6 +27,7 @@ use std::time::Instant;
 
 use si_core::{Engine, EngineConfig};
 use si_corpus::{corpus_name, generate, harness_config, CorpusSpec};
+use si_lint::json_str;
 use si_suite::{run_corpus, run_corpus_entry, CorpusEntry, CorpusOutcome};
 
 const USAGE: &str = "\
@@ -43,10 +44,6 @@ OPTIONS:
         --json [PATH]      artifact path (default BENCH_corpus.json)
     -h, --help             print this help and exit
 ";
-
-fn json_str(s: &str) -> String {
-    format!("\"{}\"", si_lint::json_escape(s))
-}
 
 /// The comparable payload of one row: everything except wall times and
 /// cache counters (which legitimately differ across schedules).

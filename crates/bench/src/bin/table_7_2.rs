@@ -5,30 +5,19 @@
 //! the total after/before ratio — the paper's headline ≈40 % reduction.
 //!
 //! All rows run through **one shared engine** (parallel per-gate fan-out,
-//! state-graph cache shared across circuits); footers compare the
-//! engine's wall-clock against the seed's sequential uncached path, the
-//! cold-pass effect of σ-space exploration, and the warm-path effect of
-//! the reuse layers (incremental regeneration + classification,
-//! projection memo, conformance cache) against the cache-only
-//! configuration.
+//! state-graph cache shared across circuits); a footer compares the
+//! engine's wall-clock against the seed's sequential uncached path.
 //!
 //! `--json [PATH]` additionally writes the whole run — rows, per-stage
-//! wall times, cache-tier traffic, cold/warm suite totals — as one JSON
+//! wall times, cache-tier traffic, suite totals — as one JSON
 //! object (default `BENCH_table72.json`), so future changes diff perf
 //! machine-readably instead of quoting footer text.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use si_bench::table_row_report;
 use si_core::{derive_timing_constraints, Engine, EngineConfig, EngineReport};
-
-/// The PR 3 warm full-suite wall-clock this PR optimizes against
-/// (microseconds); kept in the JSON so the ratio is self-describing.
-const PR3_WARM_BASELINE_US: u64 = 6800;
-
-fn json_str(s: &str) -> String {
-    format!("\"{}\"", si_lint::json_escape(s))
-}
+use si_lint::json_str;
 
 /// The per-stage/per-tier metrics of one engine run as a JSON fragment.
 fn report_json(out: &EngineReport) -> String {
@@ -37,19 +26,15 @@ fn report_json(out: &EngineReport) -> String {
         .iter()
         .map(|s| {
             format!(
-                "{{\"stage\":{},\"wall_us\":{},\"states_explored\":{},\"sg_cache_hits\":{},\"sg_cache_misses\":{},\"sg_delta_hits\":{},\"sg_inc_derived\":{},\"proj_memo_hits\":{},\"proj_memo_misses\":{},\"conf_cache_hits\":{},\"conf_cache_misses\":{},\"conf_inc_classified\":{}}}",
+                "{{\"stage\":{},\"wall_us\":{},\"states_explored\":{},\"sg_cache_hits\":{},\"sg_cache_misses\":{},\"proj_memo_hits\":{},\"proj_memo_misses\":{},\"classifications\":{}}}",
                 json_str(s.stage.name()),
                 s.wall.as_micros(),
                 s.states_explored,
                 s.sg_cache_hits,
                 s.sg_cache_misses,
-                s.sg_delta_hits,
-                s.sg_inc_derived,
                 s.proj_memo_hits,
                 s.proj_memo_misses,
-                s.conf_cache_hits,
                 s.conf_cache_misses,
-                s.conf_inc_classified,
             )
         })
         .collect();
@@ -63,9 +48,8 @@ fn report_json(out: &EngineReport) -> String {
 
 fn cache_json(stats: &si_core::CacheStats) -> String {
     format!(
-        "{{\"hits\":{},\"misses\":{},\"entries\":{},\"delta_hits\":{},\"delta_entries\":{},\"inc_derived\":{}}}",
-        stats.hits, stats.misses, stats.entries, stats.delta_hits, stats.delta_entries,
-        stats.inc_derived,
+        "{{\"hits\":{},\"misses\":{},\"entries\":{}}}",
+        stats.hits, stats.misses, stats.entries,
     )
 }
 
@@ -161,7 +145,6 @@ fn main() {
     let engine_wall = engine_started.elapsed();
     let cache = engine.cache_stats();
     let projections = engine.projection_stats();
-    let conformance = engine.conformance_stats();
     println!();
     let jobs = match engine.config().jobs {
         0 => format!(
@@ -172,14 +155,14 @@ fn main() {
     };
     println!(
         "Engine: {jobs} jobs, SG cache {} hits / {} misses ({:.0}% hit rate, {} entries), \
-         conformance cache {} hits / {} misses ({} entries)",
+         projection memo {} hits / {} misses ({} entries)",
         cache.hits,
         cache.misses,
         100.0 * cache.hit_ratio(),
         cache.entries,
-        conformance.hits,
-        conformance.misses,
-        conformance.entries,
+        projections.hits,
+        projections.misses,
+        projections.entries,
     );
 
     // The before/after comparison of the refactor: the same thirteen
@@ -217,57 +200,9 @@ fn main() {
         seed_wall.as_secs_f64() / engine_wall.as_secs_f64().max(1e-9),
     );
 
-    // Cold pass: a fresh engine's first full-suite run, classic marking
-    // keys vs σ (firing count vector) keys — this PR's cold-side change.
-    let cold_suite = |config: EngineConfig| -> Duration {
-        let engine = Engine::new(config);
-        let started = Instant::now();
-        si_suite::run_suite(&engine).unwrap_or_else(|e| panic!("cold pass failed: {e}"));
-        started.elapsed()
-    };
-    let cold_classic = cold_suite(EngineConfig {
-        sigma_cold: false,
-        ..EngineConfig::default()
-    });
-    let cold_sigma = cold_suite(EngineConfig::default());
-    println!(
-        "Cold suite: marking-keyed {cold_classic:.2?} vs sigma-keyed {cold_sigma:.2?} ({:.2}x)",
-        cold_classic.as_secs_f64() / cold_sigma.as_secs_f64().max(1e-9),
-    );
-
-    // The before/after of the reuse layers on the *warm* path: the PR-2
-    // configuration (structural SG cache only) against the full stack
-    // (incremental regeneration + classification, delta tier, projection
-    // memo, conformance cache). Each engine is primed by one cold suite
-    // pass, then timed warm.
-    let warm_suite = |config: EngineConfig| -> Duration {
-        let engine = Engine::new(config);
-        si_suite::run_suite(&engine).unwrap_or_else(|e| panic!("priming pass failed: {e}"));
-        let started = Instant::now();
-        si_suite::run_suite(&engine).unwrap_or_else(|e| panic!("warm pass failed: {e}"));
-        started.elapsed()
-    };
-    let pr2_warm = warm_suite(EngineConfig {
-        incremental: false,
-        memo_projection: false,
-        incremental_classify: false,
-        sigma_cold: false,
-        ..EngineConfig::default()
-    });
-    let full_warm = warm_suite(EngineConfig::default());
-    println!(
-        "Warm suite: cache-only {pr2_warm:.2?} vs incremental+memoized {full_warm:.2?} ({:.2}x)",
-        pr2_warm.as_secs_f64() / full_warm.as_secs_f64().max(1e-9),
-    );
-    println!(
-        "Warm suite vs PR 3 baseline ({:.1} ms): {full_warm:.2?} ({:.2}x)",
-        PR3_WARM_BASELINE_US as f64 / 1000.0,
-        PR3_WARM_BASELINE_US as f64 / 1e6 / full_warm.as_secs_f64().max(1e-9),
-    );
-
     if let Some(path) = json_path {
         let json = format!(
-            "{{\"table\":\"7.2\",\"jobs\":{},\"rows\":[{}],\"totals\":{{\"before\":{tb},\"after\":{ta},\"ratio_pct\":{:.1},\"lvl5_pct\":{:.1},\"lvl3_pct\":{:.1}}},\"cache\":{},\"projections\":{},\"conformance\":{},\"suite\":{{\"engine_wall_us\":{},\"seed_wall_us\":{},\"cold_classic_us\":{},\"cold_sigma_us\":{},\"warm_cache_only_us\":{},\"warm_full_us\":{},\"pr3_warm_baseline_us\":{PR3_WARM_BASELINE_US},\"warm_vs_pr3\":{:.2}}}}}",
+            "{{\"table\":\"7.2\",\"jobs\":{},\"rows\":[{}],\"totals\":{{\"before\":{tb},\"after\":{ta},\"ratio_pct\":{:.1},\"lvl5_pct\":{:.1},\"lvl3_pct\":{:.1}}},\"cache\":{},\"projections\":{},\"suite\":{{\"engine_wall_us\":{},\"seed_wall_us\":{}}}}}",
             engine.config().jobs,
             row_objects.join(","),
             pct(ta, tb),
@@ -275,14 +210,8 @@ fn main() {
             pct(t3a, t3b),
             cache_json(&cache),
             cache_json(&projections),
-            cache_json(&conformance),
             engine_wall.as_micros(),
             seed_wall.as_micros(),
-            cold_classic.as_micros(),
-            cold_sigma.as_micros(),
-            pr2_warm.as_micros(),
-            full_warm.as_micros(),
-            PR3_WARM_BASELINE_US as f64 / 1e6 / full_warm.as_secs_f64().max(1e-9),
         );
         if let Err(e) = std::fs::write(&path, json + "\n") {
             eprintln!("table_7_2: cannot write `{path}`: {e}");

@@ -1,75 +1,46 @@
 //! Structural-hash memoization of state-graph generation and local-STG
-//! projection.
+//! projection: the engine's fast path.
 //!
-//! The relaxation loop rebuilds local state graphs after every arc edit,
-//! and the same `MgStg` structure recurs across the conformance pre-check,
+//! The relaxation loop generates a local state graph for every trial, and
+//! the same `MgStg` structure recurs across the conformance pre-check,
 //! the relaxation trials, the case-2 arc modification, OR-causality
-//! sub-STG vetting and conformance re-checks — and across repeated runs of
-//! the same circuit. [`SgCache`] memoizes [`StateGraph::of_mg`] in two
-//! tiers:
-//!
-//! 1. a *structural* tier keyed on the canonical [`SgKey`] of the input,
-//!    so any structurally identical MG (regardless of signal names or
-//!    restriction flags) is generated once;
-//! 2. a *delta* tier keyed on `(predecessor SgKey, ArcDelta)`, the name of
-//!    one relaxation edit, filled by [`SgCache::of_mg_from`]. A miss in
-//!    both tiers is answered by the incremental derivation
-//!    ([`StateGraph::of_mg_from`]) — re-exploring only the cone of states
-//!    the edited arc can affect — instead of a scratch exploration.
+//! sub-STG vetting — and across repeated runs of the same circuit.
+//! [`SgCache`] memoizes state-graph generation keyed on the canonical
+//! [`SgKey`] of the input, so any structurally identical MG (regardless of
+//! signal names or restriction flags) is generated once. A live cache
+//! generates with the σ-space explorer [`StateGraph::of_mg_sigma`]
+//! (firing-count-vector keys, cheaper than packed-marking interleaving for
+//! weakly connected MGs); a disabled one is the reference path — every
+//! call runs the marking-keyed oracle [`StateGraph::of_mg`] and stores
+//! nothing. Both produce bit-identical graphs.
 //!
 //! [`ProjCache`] plays the same role for [`MgStg::project_on_gate`]: warm
 //! runs of a circuit re-project identical components onto identical gates,
-//! and the projection's redundancy sweeps dominate the profile once state
-//! graphs are memoized. [`ConformanceCache`] is the third tier: it
-//! memoizes the four-case classification verdict itself, keyed on the
-//! complete functional input of [`crate::classify_states`] (the MG's
-//! [`SgKey`], the gate's covers and variable binding, the prerequisite
-//! sets and the relaxed transition), so repeated trials and warm suite
-//! runs skip the conformance sweep entirely.
+//! and skip the projection's redundancy sweeps.
 //!
-//! The graph caches are budget-exact: a hit whose stored graph exceeds
-//! the caller's state budget reports the same budget-exhaustion error an
+//! Both caches are budget-exact: a hit whose stored graph exceeds the
+//! caller's state budget reports the same budget-exhaustion error an
 //! uncached generation would, so cached and uncached runs are
-//! behaviourally indistinguishable. Errors are never cached. All caches
+//! behaviourally indistinguishable. Errors are never cached. Both caches
 //! are `Sync` — one instance is shared across the parallel per-gate
 //! fan-out.
-//!
-//! [`SgCache`] also owns the cold-exploration policy: with
-//! [`SgCache::with_sigma_cold`] enabled, scratch generations route through
-//! the σ-space explorer [`StateGraph::of_mg_sigma`] (firing-count-vector
-//! keys, cheaper than packed-marking interleaving for weakly connected
-//! MGs) — bit-identical output, measurably faster cold runs.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use si_boolean::Cover;
-use si_stg::{
-    ArcDelta, MgStg, SgKey, SgMap, SigmaRows, SignalId, SignalKind, StateGraph, StgError,
-    TransitionLabel,
-};
-
-use crate::check::{ConformanceReport, RelaxationCase};
-use crate::local::LocalStg;
+use si_stg::{MgStg, SgKey, SignalId, SignalKind, StateGraph, StgError};
 
 /// Counters of a [`SgCache`] (or [`ProjCache`]), readable at any point of
 /// an engine run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups answered from the cache (either tier).
+    /// Lookups answered from the cache.
     pub hits: usize,
-    /// Lookups that generated (and stored) a new state graph.
+    /// Lookups that generated (and stored) a new entry.
     pub misses: usize,
-    /// Distinct state graphs currently stored in the structural tier.
+    /// Distinct entries currently stored.
     pub entries: usize,
-    /// Lookups answered from the delta tier specifically.
-    pub delta_hits: usize,
-    /// Deltas currently stored in the delta tier.
-    pub delta_entries: usize,
-    /// Misses answered by the incremental (delta-guided) derivation
-    /// instead of a scratch exploration.
-    pub inc_derived: usize,
 }
 
 impl CacheStats {
@@ -84,41 +55,17 @@ impl CacheStats {
     }
 }
 
-/// Where one [`SgCache`] lookup was answered from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SgSource {
-    /// Served from the structural (tier-1) memo table.
-    Structural,
-    /// Served from the delta (tier-2) memo table.
-    Delta,
-    /// Generated by the delta-guided incremental derivation (a miss).
-    Incremental,
-    /// Generated by a scratch exploration (a miss).
-    Scratch,
-}
-
-impl SgSource {
-    /// Whether the lookup was a cache hit (no generation work).
-    pub fn is_hit(self) -> bool {
-        matches!(self, SgSource::Structural | SgSource::Delta)
-    }
-}
-
-/// A thread-safe two-tier memoization cache for [`StateGraph::of_mg`].
+/// A thread-safe memoization cache for state-graph generation.
 #[derive(Debug, Default)]
 pub struct SgCache {
     enabled: bool,
-    sigma_cold: bool,
     map: Mutex<HashMap<SgKey, Arc<StateGraph>>>,
-    delta: Mutex<HashMap<(SgKey, ArcDelta), Arc<StateGraph>>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
-    delta_hits: AtomicUsize,
-    inc_derived: AtomicUsize,
 }
 
 impl SgCache {
-    /// A live cache.
+    /// A live cache: σ-space generation, memoized.
     pub fn new() -> Self {
         Self {
             enabled: true,
@@ -126,41 +73,16 @@ impl SgCache {
         }
     }
 
-    /// A pass-through cache: every call generates from scratch and stores
-    /// nothing (the seed's uncached behaviour, byte for byte).
+    /// A pass-through cache: every call runs the marking-keyed
+    /// [`StateGraph::of_mg`] and stores nothing (the seed's uncached
+    /// behaviour, byte for byte).
     pub fn disabled() -> Self {
         Self::default()
-    }
-
-    /// Routes scratch generations through the σ-space explorer
-    /// ([`StateGraph::of_mg_sigma`]) when `on`. Applies to both the
-    /// enabled and the pass-through cache; output is bit-identical either
-    /// way. The policy governs generations without a predecessor
-    /// ([`SgCache::of_mg`]); derivations from a predecessor
-    /// ([`SgCache::of_mg_from`]) run the σ-space kernel by construction,
-    /// their scratch fallback for ineligible edits included.
-    pub fn with_sigma_cold(mut self, on: bool) -> Self {
-        self.sigma_cold = on;
-        self
     }
 
     /// Whether lookups are served from the memo table.
     pub fn is_enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// Whether scratch generations use σ-space (firing-count-vector) keys.
-    pub fn sigma_cold(&self) -> bool {
-        self.sigma_cold
-    }
-
-    /// One scratch generation, honouring the σ-cold policy.
-    fn generate(&self, mg: &MgStg, budget: usize) -> Result<StateGraph, StgError> {
-        if self.sigma_cold {
-            StateGraph::of_mg_sigma(mg, budget)
-        } else {
-            StateGraph::of_mg(mg, budget)
-        }
     }
 
     /// The state graph of `mg`, memoized. The boolean is `true` on a cache
@@ -175,18 +97,22 @@ impl SgCache {
     /// would have failed.
     pub fn of_mg(&self, mg: &MgStg, budget: usize) -> Result<(Arc<StateGraph>, bool), StgError> {
         if !self.enabled {
-            return Ok((Arc::new(self.generate(mg, budget)?), false));
+            return Ok((Arc::new(StateGraph::of_mg(mg, budget)?), false));
         }
         let key = mg.sg_key();
         if let Some(sg) = self.map.lock().expect("sg cache poisoned").get(&key) {
-            Self::replay_budget(sg, budget)?;
+            if sg.state_count() > budget {
+                return Err(StgError::Petri(si_petri::PetriError::StateBudgetExceeded {
+                    budget,
+                }));
+            }
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok((Arc::clone(sg), true));
         }
         // Generate outside the lock: concurrent gates may race on the same
         // key, in which case the last insert wins — both values are
         // identical, so either Arc is valid.
-        let sg = Arc::new(self.generate(mg, budget)?);
+        let sg = Arc::new(StateGraph::of_mg_sigma(mg, budget)?);
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.map
             .lock()
@@ -195,128 +121,20 @@ impl SgCache {
         Ok((sg, false))
     }
 
-    /// The state graph of `mg` derived from its predecessor `parent` (one
-    /// relaxation edit earlier, with `parent_sg` = the parent's graph),
-    /// memoized in both tiers. Lookup order: the delta tier under
-    /// `(parent key, arc delta)`, then the structural tier under `mg`'s
-    /// own key, then the incremental derivation
-    /// ([`StateGraph::of_mg_from`], handed `parent_rows` — the
-    /// [`SgMap::rows`] that came with `parent_sg`, if any) — which itself
-    /// falls back to a σ-keyed scratch exploration when the edit is not
-    /// delta-eligible. Every path yields the result (and, budget-exactly,
-    /// the errors) of an uncached [`StateGraph::of_mg`] call.
-    ///
-    /// The returned [`SgMap`] is `Some` exactly when this call freshly
-    /// derived the graph through the delta path ([`SgSource::Incremental`])
-    /// — the affected-cone/correspondence data incremental conformance
-    /// classification consumes. Cache hits return `None`: a hit means the
-    /// whole classification can be answered from the [`ConformanceCache`]
-    /// instead.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the errors of [`StateGraph::of_mg`] under `budget`,
-    /// including the replayed [`si_petri::PetriError::StateBudgetExceeded`]
-    /// when a hit in either tier has more states than `budget` allows.
-    pub fn of_mg_from(
-        &self,
-        parent: &MgStg,
-        parent_sg: &Arc<StateGraph>,
-        parent_rows: Option<&SigmaRows>,
-        mg: &MgStg,
-        budget: usize,
-    ) -> Result<(Arc<StateGraph>, SgSource, Option<SgMap>), StgError> {
-        if !self.enabled {
-            let (sg, map) = StateGraph::of_mg_from(parent, parent_sg, parent_rows, mg, budget)?;
-            let source = if map.is_some() {
-                SgSource::Incremental
-            } else {
-                SgSource::Scratch
-            };
-            return Ok((Arc::new(sg), source, map));
-        }
-        // Tier 2: the delta's name. Only sound when the two graphs share a
-        // transition space (then parent key + delta determine mg's key).
-        let delta_key = parent
-            .same_transition_space(mg)
-            .then(|| (parent.sg_key(), parent.arc_delta(mg)));
-        if let Some(k) = &delta_key {
-            if let Some(sg) = self.delta.lock().expect("sg cache poisoned").get(k) {
-                Self::replay_budget(sg, budget)?;
-                self.delta_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok((Arc::clone(sg), SgSource::Delta, None));
-            }
-        }
-        // Tier 1: the successor's own structural key.
-        let key = mg.sg_key();
-        if let Some(sg) = self.map.lock().expect("sg cache poisoned").get(&key) {
-            Self::replay_budget(sg, budget)?;
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            let sg = Arc::clone(sg);
-            if let Some(k) = delta_key {
-                self.delta
-                    .lock()
-                    .expect("sg cache poisoned")
-                    .insert(k, Arc::clone(&sg));
-            }
-            return Ok((sg, SgSource::Structural, None));
-        }
-        // Miss in both tiers: derive incrementally from the predecessor.
-        let (sg, map) = StateGraph::of_mg_from(parent, parent_sg, parent_rows, mg, budget)?;
-        let sg = Arc::new(sg);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        if map.is_some() {
-            self.inc_derived.fetch_add(1, Ordering::Relaxed);
-        }
-        self.map
-            .lock()
-            .expect("sg cache poisoned")
-            .insert(key, Arc::clone(&sg));
-        if let Some(k) = delta_key {
-            self.delta
-                .lock()
-                .expect("sg cache poisoned")
-                .insert(k, Arc::clone(&sg));
-        }
-        let source = if map.is_some() {
-            SgSource::Incremental
-        } else {
-            SgSource::Scratch
-        };
-        Ok((sg, source, map))
-    }
-
-    /// `of_mg` fails iff the reachable state count exceeds the budget;
-    /// replay that outcome for cached graphs under smaller budgets.
-    fn replay_budget(sg: &Arc<StateGraph>, budget: usize) -> Result<(), StgError> {
-        if sg.state_count() > budget {
-            return Err(StgError::Petri(si_petri::PetriError::StateBudgetExceeded {
-                budget,
-            }));
-        }
-        Ok(())
-    }
-
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             entries: self.map.lock().expect("sg cache poisoned").len(),
-            delta_hits: self.delta_hits.load(Ordering::Relaxed),
-            delta_entries: self.delta.lock().expect("sg cache poisoned").len(),
-            inc_derived: self.inc_derived.load(Ordering::Relaxed),
         }
     }
 
-    /// Drops all stored graphs (both tiers) and resets the counters.
+    /// Drops all stored graphs and resets the counters.
     pub fn clear(&self) {
         self.map.lock().expect("sg cache poisoned").clear();
-        self.delta.lock().expect("sg cache poisoned").clear();
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
-        self.delta_hits.store(0, Ordering::Relaxed);
-        self.inc_derived.store(0, Ordering::Relaxed);
     }
 }
 
@@ -427,170 +245,18 @@ impl ProjCache {
         Ok((mg, false))
     }
 
-    /// Current counters (the delta fields are always zero: projections
-    /// have no delta tier).
+    /// Current counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             entries: self.map.lock().expect("projection cache poisoned").len(),
-            ..CacheStats::default()
         }
     }
 
     /// Drops all stored projections and resets the counters.
     pub fn clear(&self) {
         self.map.lock().expect("projection cache poisoned").clear();
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-    }
-}
-
-/// Canonical key of one four-case classification: the complete functional
-/// input of [`crate::classify_states`]. The verdict is a pure function of
-/// the local STG's structure (its [`SgKey`] — labels, arcs, initial code),
-/// the gate's covers with their positional signal binding (`var_map`
-/// resolves cover variable `i` to a signal id, and `SgKey` speaks in
-/// signal ids), the prerequisite sets and the relaxed transition id.
-/// Signal *names* are deliberately excluded, matching `SgKey`: they only
-/// appear in error messages, and errors are never cached.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct ConfKey {
-    sg: SgKey,
-    output: usize,
-    up: Cover,
-    down: Cover,
-    var_map: Vec<usize>,
-    epre: Vec<(usize, Vec<TransitionLabel>)>,
-    relaxed: Option<usize>,
-}
-
-impl ConfKey {
-    fn of(
-        local: &LocalStg,
-        epre: &BTreeMap<usize, BTreeSet<TransitionLabel>>,
-        relaxed: Option<usize>,
-    ) -> Self {
-        Self {
-            sg: local.mg.sg_key(),
-            output: local.ctx.output.0,
-            up: local.ctx.gate.up.clone(),
-            down: local.ctx.gate.down.clone(),
-            var_map: local.ctx.var_map.iter().map(|s| s.0).collect(),
-            epre: epre
-                .iter()
-                .map(|(&t, set)| (t, set.iter().copied().collect()))
-                .collect(),
-            relaxed,
-        }
-    }
-}
-
-/// A [`ConformanceCache`] miss: the key [`ConformanceCache::lookup`]
-/// built for the verdict, kept so that [`ConformanceCache::store`] files
-/// the computed verdict without building it again (empty when the cache
-/// is disabled).
-#[derive(Debug)]
-pub struct ConfMiss(Option<ConfKey>);
-
-/// The answer of one [`ConformanceCache::lookup`].
-#[derive(Debug)]
-pub enum ConfLookup {
-    /// The stored verdict.
-    Hit(RelaxationCase, ConformanceReport),
-    /// No verdict stored: compute it, then hand the miss to
-    /// [`ConformanceCache::store`].
-    Miss(ConfMiss),
-}
-
-/// A thread-safe memoization cache for the four-case conformance
-/// classification ([`crate::classify_states`]) — the third cache tier.
-/// Where [`SgCache`] answers "what does this MG's state graph look like"
-/// and [`ProjCache`] "what does this projection look like", this tier
-/// answers the relaxation loop's actual question — "what is the verdict
-/// of this trial" — so a repeated trial (warm suite run, re-explored
-/// branch of the relaxation search) skips state sweep, pending DFS and
-/// all. Errors are never cached.
-#[derive(Debug, Default)]
-pub struct ConformanceCache {
-    enabled: bool,
-    map: Mutex<HashMap<ConfKey, Arc<(RelaxationCase, ConformanceReport)>>>,
-    hits: AtomicUsize,
-    misses: AtomicUsize,
-}
-
-impl ConformanceCache {
-    /// A live cache.
-    pub fn new() -> Self {
-        Self {
-            enabled: true,
-            ..Self::default()
-        }
-    }
-
-    /// A pass-through cache: every lookup misses and stores nothing.
-    pub fn disabled() -> Self {
-        Self::default()
-    }
-
-    /// Whether lookups are served from the memo table.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// The cached verdict of `(local, epre, relaxed)`, or the [`ConfMiss`]
-    /// to hand to [`Self::store`] once the verdict is computed. Counts
-    /// the hit or miss; a disabled cache always misses and counts
-    /// nothing.
-    pub fn lookup(
-        &self,
-        local: &LocalStg,
-        epre: &BTreeMap<usize, BTreeSet<TransitionLabel>>,
-        relaxed: Option<usize>,
-    ) -> ConfLookup {
-        if !self.enabled {
-            return ConfLookup::Miss(ConfMiss(None));
-        }
-        let key = ConfKey::of(local, epre, relaxed);
-        if let Some(v) = self
-            .map
-            .lock()
-            .expect("conformance cache poisoned")
-            .get(&key)
-        {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return ConfLookup::Hit(v.0, v.1.clone());
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        ConfLookup::Miss(ConfMiss(Some(key)))
-    }
-
-    /// Stores a freshly computed verdict under the key of the `miss` that
-    /// preceded it. No-op when disabled.
-    pub fn store(&self, miss: ConfMiss, case: RelaxationCase, report: &ConformanceReport) {
-        let Some(key) = miss.0 else {
-            return;
-        };
-        self.map
-            .lock()
-            .expect("conformance cache poisoned")
-            .insert(key, Arc::new((case, report.clone())));
-    }
-
-    /// Current counters (the delta fields are always zero: verdicts have
-    /// no delta tier).
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self.map.lock().expect("conformance cache poisoned").len(),
-            ..CacheStats::default()
-        }
-    }
-
-    /// Drops all stored verdicts and resets the counters.
-    pub fn clear(&self) {
-        self.map.lock().expect("conformance cache poisoned").clear();
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
     }
@@ -635,7 +301,6 @@ ack- req+
                 hits: 1,
                 misses: 1,
                 entries: 1,
-                ..CacheStats::default()
             }
         );
     }
@@ -685,219 +350,19 @@ ack- req+
         assert!(!hit);
     }
 
-    /// The handshake plus a redundant ordering arc `req+ ⇒ req-`: the same
-    /// transition space, a one-arc delta, an unchanged behaviour.
-    fn handshake_child(parent: &MgStg) -> MgStg {
-        let reqp = parent.transition_by_label("req+").expect("present");
-        let reqm = parent.transition_by_label("req-").expect("present");
-        let mut child = parent.clone();
-        child.insert_arc(reqp, reqm, 0, false);
-        child
-    }
-
     #[test]
-    fn delta_tier_memoizes_the_edit_and_replays_budgets() {
-        let cache = SgCache::new();
-        let parent = handshake_mg();
-        let (psg, _) = cache.of_mg(&parent, 100).expect("consistent");
-        let child = handshake_child(&parent);
-
-        let (first, source, map) = cache
-            .of_mg_from(&parent, &psg, None, &child, 100)
-            .expect("derives");
-        assert_eq!(
-            source,
-            SgSource::Incremental,
-            "cold edit derives incrementally"
-        );
-        assert!(
-            map.is_some(),
-            "fresh incremental derivation carries its affected-cone map"
-        );
-        assert_eq!(*first, StateGraph::of_mg(&child, 100).expect("consistent"));
-
-        let (second, source, map) = cache
-            .of_mg_from(&parent, &psg, None, &child, 100)
-            .expect("derives");
-        assert_eq!(source, SgSource::Delta, "repeated edit hits the delta tier");
-        assert!(map.is_none(), "cache hits carry no map");
-        assert!(Arc::ptr_eq(&first, &second));
-
-        let stats = cache.stats();
-        assert_eq!(stats.delta_hits, 1);
-        assert_eq!(stats.delta_entries, 1);
-        assert_eq!(stats.inc_derived, 1);
-
-        // Budget-exactness on the delta tier: a hit under a budget the
-        // graph exceeds must fail exactly like a scratch run.
-        let uncached = StateGraph::of_mg(&child, 2).expect_err("budget");
-        let hit = cache
-            .of_mg_from(&parent, &psg, None, &child, 2)
-            .expect_err("budget");
-        assert_eq!(hit, uncached);
-    }
-
-    #[test]
-    fn delta_lookup_falls_through_to_the_structural_tier() {
-        let cache = SgCache::new();
-        let parent = handshake_mg();
-        let (psg, _) = cache.of_mg(&parent, 100).expect("consistent");
-        let child = handshake_child(&parent);
-        // Prime the structural tier through the plain entry point.
-        cache.of_mg(&child, 100).expect("consistent");
-        let (_, source, map) = cache
-            .of_mg_from(&parent, &psg, None, &child, 100)
-            .expect("derives");
-        assert_eq!(source, SgSource::Structural);
-        assert!(map.is_none());
-        // The fall-through repopulates the delta tier for the next lookup.
-        let (_, source, _) = cache
-            .of_mg_from(&parent, &psg, None, &child, 100)
-            .expect("derives");
-        assert_eq!(source, SgSource::Delta);
-    }
-
-    #[test]
-    fn disabled_cache_still_derives_incrementally_without_storing() {
-        let cache = SgCache::disabled();
-        let parent = handshake_mg();
-        let psg = Arc::new(StateGraph::of_mg(&parent, 100).expect("consistent"));
-        let child = handshake_child(&parent);
-        let (sg, source, map) = cache
-            .of_mg_from(&parent, &psg, None, &child, 100)
-            .expect("derives");
-        assert_eq!(source, SgSource::Incremental);
-        assert!(map.is_some());
-        assert_eq!(*sg, StateGraph::of_mg(&child, 100).expect("consistent"));
-        assert_eq!(cache.stats(), CacheStats::default());
-    }
-
-    #[test]
-    fn sigma_cold_cache_generates_identical_graphs() {
+    fn live_and_disabled_caches_generate_identical_graphs() {
+        // The live cache explores in σ space, the disabled one runs the
+        // marking-keyed oracle: graphs and budget failures must agree.
         let mg = handshake_mg();
         let direct = StateGraph::of_mg(&mg, 100).expect("consistent");
-        for cache in [
-            SgCache::new().with_sigma_cold(true),
-            SgCache::disabled().with_sigma_cold(true),
-        ] {
-            assert!(cache.sigma_cold());
+        for cache in [SgCache::new(), SgCache::disabled()] {
             let (sg, _) = cache.of_mg(&mg, 100).expect("consistent");
             assert_eq!(*sg, direct);
-            // Budget exhaustion replays identically through the σ path.
             let err = cache.of_mg(&mg, 2).expect_err("budget");
             let uncached = StateGraph::of_mg(&mg, 2).expect_err("budget");
             assert_eq!(err, uncached);
         }
-    }
-
-    #[test]
-    fn ineligible_edit_falls_back_identically_under_either_cold_policy() {
-        // Dropping both req transitions changes the alive set: the delta
-        // path declines and the scratch fallback (σ-keyed: the ack cycle
-        // is weakly connected) must match the marking-keyed oracle, with
-        // the σ-cold policy on and off, enabled and pass-through.
-        let parent = handshake_mg();
-        let psg = Arc::new(StateGraph::of_mg(&parent, 100).expect("consistent"));
-        let mut child = parent.clone();
-        let ackp = child.transition_by_label("ack+").expect("present");
-        let ackm = child.transition_by_label("ack-").expect("present");
-        for label in ["req+", "req-"] {
-            let t = child.transition_by_label(label).expect("present");
-            child.remove_transition(t);
-        }
-        child.insert_arc(ackp, ackm, 0, false);
-        child.insert_arc(ackm, ackp, 1, false);
-        assert!(child.arcs_weakly_connected());
-        for budget in [1, 2, 100] {
-            let oracle = StateGraph::of_mg(&child, budget);
-            for cache in [
-                SgCache::new().with_sigma_cold(true),
-                SgCache::new().with_sigma_cold(false),
-                SgCache::disabled().with_sigma_cold(true),
-                SgCache::disabled().with_sigma_cold(false),
-            ] {
-                let got = cache.of_mg_from(&parent, &psg, None, &child, budget);
-                match (&got, &oracle) {
-                    (Ok((sg, source, map)), Ok(expected)) => {
-                        assert_eq!(**sg, *expected, "budget {budget}");
-                        assert_eq!(*source, SgSource::Scratch);
-                        assert!(map.is_none());
-                    }
-                    (Err(e), Err(expected)) => assert_eq!(e, expected, "budget {budget}"),
-                    _ => panic!("budget {budget}: {got:?} vs {oracle:?}"),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn conformance_cache_round_trips_verdicts() {
-        use crate::check::{classify_states, prerequisite_sets};
-        use crate::local::GateContext;
-        use si_boolean::{parse_eqn, GateLibrary};
-
-        let stg = parse_astg(
-            "\
-.model fig517
-.inputs x y
-.outputs o
-.graph
-x+ y+
-y+ o+
-o+ x-
-x- o-
-o- y-
-y- x+
-.marking { <y-,x+> }
-.end
-",
-        )
-        .expect("valid");
-        let lib = GateLibrary::from_netlist(&parse_eqn("o = x*y;").expect("valid EQN"));
-        let ctx = GateContext::bind(lib.gate("o").expect("gate exists"), &stg).expect("binds");
-        let mg = MgStg::from_stg_mg(&stg).expect("marked graph");
-        let local = LocalStg::project_from(&mg, &ctx).expect("projects");
-        let sg = StateGraph::of_mg(&local.mg, 1000).expect("consistent");
-        let epre = prerequisite_sets(&local);
-        let (case, report) = classify_states(&local, &sg, &epre, None).expect("checks");
-
-        let cache = ConformanceCache::new();
-        let ConfLookup::Miss(miss) = cache.lookup(&local, &epre, None) else {
-            panic!("a cold cache must miss");
-        };
-        cache.store(miss, case, &report);
-        let ConfLookup::Hit(case2, report2) = cache.lookup(&local, &epre, None) else {
-            panic!("a stored verdict must hit");
-        };
-        assert_eq!(case2, case);
-        assert_eq!(report2, report);
-        // A different relaxed id is a different entry.
-        assert!(matches!(
-            cache.lookup(&local, &epre, Some(0)),
-            ConfLookup::Miss(_)
-        ));
-        assert_eq!(
-            cache.stats(),
-            CacheStats {
-                hits: 1,
-                misses: 2,
-                entries: 1,
-                ..CacheStats::default()
-            }
-        );
-        cache.clear();
-        assert_eq!(cache.stats(), CacheStats::default());
-        // Disabled: never hits, never counts.
-        let off = ConformanceCache::disabled();
-        let ConfLookup::Miss(miss) = off.lookup(&local, &epre, None) else {
-            panic!("a disabled cache must miss");
-        };
-        off.store(miss, case, &report);
-        assert!(matches!(
-            off.lookup(&local, &epre, None),
-            ConfLookup::Miss(_)
-        ));
-        assert_eq!(off.stats(), CacheStats::default());
     }
 
     #[test]

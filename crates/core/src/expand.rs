@@ -18,12 +18,11 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use si_stg::{SgMap, SigmaRows, StateGraph, TransitionLabel};
+use si_stg::{StateGraph, TransitionLabel};
 
-use crate::cache::{ConfLookup, ConformanceCache, SgCache, SgSource};
+use crate::cache::SgCache;
 use crate::check::{
-    classify_states, classify_states_from, conformance, prerequisite_sets, ConformanceReport,
-    RelaxationCase,
+    classify_states, conformance, prerequisite_sets, ConformanceReport, RelaxationCase,
 };
 use crate::constraint::{Constraint, ConstraintAtom};
 use crate::error::CoreError;
@@ -61,15 +60,6 @@ pub(crate) struct ExpandCtx<'a> {
     pub max_depth: usize,
     /// Shared memoization cache for local state graphs.
     pub cache: &'a SgCache,
-    /// Shared memoization cache for classification verdicts.
-    pub conformance: &'a ConformanceCache,
-    /// Whether each trial's state graph is derived incrementally from its
-    /// predecessor's (the delta path) instead of regenerated from scratch.
-    pub incremental: bool,
-    /// Whether each trial's conformance sweep copies verdicts of states
-    /// outside the affected cone from the predecessor's report
-    /// ([`classify_states_from`]) instead of sweeping from scratch.
-    pub incremental_classify: bool,
     /// Sliding-window length of the trial scheduler's contraction
     /// watchdog (0 disables the watchdog; the progress ledger still runs).
     pub divergence_window: usize,
@@ -85,7 +75,6 @@ impl<'a> ExpandCtx<'a> {
         order: RelaxationOrder,
         iteration_budget: usize,
         cache: &'a SgCache,
-        conformance: &'a ConformanceCache,
     ) -> Self {
         Self {
             oracle,
@@ -94,9 +83,6 @@ impl<'a> ExpandCtx<'a> {
             sg_budget: DEFAULT_LOCAL_SG_BUDGET,
             max_depth: DEFAULT_MAX_DEPTH,
             cache,
-            conformance,
-            incremental: false,
-            incremental_classify: false,
             divergence_window: DEFAULT_DIVERGENCE_WINDOW,
             // The compatibility wrappers (and through them the monolithic
             // `derive_timing_constraints`) keep the historical
@@ -122,81 +108,18 @@ impl<'a> ExpandCtx<'a> {
         }
         Ok(sg)
     }
+}
 
-    /// State graph of one relaxation trial: derived incrementally from the
-    /// predecessor's graph when the engine enables it (and a predecessor
-    /// is at hand), plain memoized generation otherwise. Output and errors
-    /// are identical either way. The [`SgMap`] is `Some` exactly when the
-    /// graph was freshly derived through the delta path — the
-    /// correspondence incremental classification consumes, and the rows
-    /// the next derivation from this graph starts from.
-    fn sg_step(
-        &self,
-        parent: &si_stg::MgStg,
-        parent_sg: Option<&Arc<StateGraph>>,
-        parent_rows: Option<&SigmaRows>,
-        mg: &si_stg::MgStg,
-        out: &mut ExpandOutcome,
-    ) -> Result<(Arc<StateGraph>, Option<SgMap>), CoreError> {
-        let Some(psg) = parent_sg.filter(|_| self.incremental) else {
-            return Ok((self.sg(mg, out)?, None));
-        };
-        let (sg, source, map) =
-            self.cache
-                .of_mg_from(parent, psg, parent_rows, mg, self.sg_budget)?;
-        match source {
-            SgSource::Structural => out.sg_cache_hits += 1,
-            SgSource::Delta => {
-                out.sg_cache_hits += 1;
-                out.sg_delta_hits += 1;
-            }
-            SgSource::Incremental => {
-                out.sg_cache_misses += 1;
-                out.sg_inc_derived += 1;
-                out.states_explored += sg.state_count();
-            }
-            SgSource::Scratch => {
-                out.sg_cache_misses += 1;
-                out.states_explored += sg.state_count();
-            }
-        }
-        Ok((sg, map))
-    }
-
-    /// Classification of one trial, answered in preference order: the
-    /// conformance cache (a repeated trial — skip the sweep entirely),
-    /// verdict-copying from the predecessor's report when the incremental
-    /// path is on and a fresh delta derivation supplied the correspondence
-    /// ([`classify_states_from`]), or the scratch sweep. Output and errors
-    /// are identical in all three. Fresh verdicts are stored back; errors
-    /// never are.
-    fn classify(
-        &self,
-        trial: &LocalStg,
-        sg: &StateGraph,
-        epre: &BTreeMap<usize, BTreeSet<TransitionLabel>>,
-        relaxed: Option<usize>,
-        prev: Option<(&ConformanceReport, &SgMap)>,
-        out: &mut ExpandOutcome,
-    ) -> Result<(RelaxationCase, ConformanceReport), CoreError> {
-        let miss = match self.conformance.lookup(trial, epre, relaxed) {
-            ConfLookup::Hit(case, report) => {
-                out.conf_cache_hits += 1;
-                return Ok((case, report));
-            }
-            ConfLookup::Miss(miss) => miss,
-        };
-        out.conf_cache_misses += 1;
-        let (case, report) = match prev.filter(|_| self.incremental_classify) {
-            Some((parent_report, map)) => {
-                out.conf_inc_classified += 1;
-                classify_states_from(trial, sg, epre, relaxed, parent_report, map)?
-            }
-            None => classify_states(trial, sg, epre, relaxed)?,
-        };
-        self.conformance.store(miss, case, &report);
-        Ok((case, report))
-    }
+/// The four-case classification of one trial, counted into `out`.
+fn classify(
+    trial: &LocalStg,
+    sg: &StateGraph,
+    epre: &BTreeMap<usize, BTreeSet<TransitionLabel>>,
+    relaxed: Option<usize>,
+    out: &mut ExpandOutcome,
+) -> Result<(RelaxationCase, ConformanceReport), CoreError> {
+    out.classifications += 1;
+    classify_states(trial, sg, epre, relaxed)
 }
 
 /// The policy picking which type-4 arc to relax next (thesis Sec. 5.5:
@@ -309,23 +232,10 @@ pub struct ExpandOutcome {
     pub states_explored: usize,
     /// Local state graphs answered from the shared cache.
     pub sg_cache_hits: usize,
-    /// Local state graphs generated from scratch.
+    /// Local state graphs generated (cache misses).
     pub sg_cache_misses: usize,
-    /// Cache hits answered by the delta tier specifically (a subset of
-    /// [`ExpandOutcome::sg_cache_hits`]).
-    pub sg_delta_hits: usize,
-    /// Cache misses answered by the incremental derivation instead of a
-    /// scratch exploration (a subset of
-    /// [`ExpandOutcome::sg_cache_misses`]).
-    pub sg_inc_derived: usize,
-    /// Classification verdicts answered from the conformance cache.
-    pub conf_cache_hits: usize,
-    /// Classification verdicts computed fresh (a sweep ran).
-    pub conf_cache_misses: usize,
-    /// Fresh verdicts computed by verdict-copying incremental
-    /// classification instead of a scratch sweep (a subset of
-    /// [`ExpandOutcome::conf_cache_misses`]).
-    pub conf_inc_classified: usize,
+    /// Four-case classifications computed.
+    pub classifications: usize,
     /// Distinct local-STG fingerprints the trial scheduler's progress
     /// ledger recorded (0 under [`DivergencePolicy::Exhaust`]).
     pub sched_fingerprints: usize,
@@ -335,27 +245,6 @@ pub struct ExpandOutcome {
     /// Gates aborted by the contraction watchdog (a full window without a
     /// new strict minimum of the relaxable-arc count).
     pub sched_watchdog_bails: usize,
-}
-
-/// The state graph of the loop's current local STG, with what the next
-/// trial derives from it: the graph's conformance report and, when the
-/// graph came from a fresh delta derivation, its σ rows.
-struct Prev {
-    sg: Arc<StateGraph>,
-    report: ConformanceReport,
-    rows: Option<SigmaRows>,
-}
-
-impl Prev {
-    /// A predecessor whose σ rows are unknown (the next derivation
-    /// rebuilds them from the graph).
-    fn without_rows((sg, report): (Arc<StateGraph>, ConformanceReport)) -> Self {
-        Self {
-            sg,
-            report,
-            rows: None,
-        }
-    }
 }
 
 fn atom(local: &LocalStg, label: TransitionLabel) -> ConstraintAtom {
@@ -486,24 +375,19 @@ pub fn expand_with_order(
     out: &mut ExpandOutcome,
 ) -> Result<(), CoreError> {
     let cache = SgCache::disabled();
-    let conf = ConformanceCache::disabled();
-    let ctx = ExpandCtx::with_defaults(oracle, order, budget, &cache, &conf);
-    expand_ctx(local, None, &ctx, out)
+    let ctx = ExpandCtx::with_defaults(oracle, order, budget, &cache);
+    expand_ctx(local, &ctx, out)
 }
 
 /// Expands one local STG under an explicit engine context — the entry
 /// point the staged [`crate::Engine`] uses, sharing one cache across all
-/// gates. `prev` is the state graph of `local.mg` plus its conformance
-/// report if the caller already computed them (the conformance pre-check
-/// does); the incremental paths seed their first delta derivation and
-/// verdict copy from them.
+/// gates.
 pub(crate) fn expand_ctx(
     mut local: LocalStg,
-    prev: Option<(Arc<StateGraph>, ConformanceReport)>,
     ctx: &ExpandCtx<'_>,
     out: &mut ExpandOutcome,
 ) -> Result<(), CoreError> {
-    expand_at(&mut local, ctx, out, 0, prev.map(Prev::without_rows))
+    expand_at(&mut local, ctx, out, 0)
 }
 
 fn expand_at(
@@ -511,7 +395,6 @@ fn expand_at(
     ctx: &ExpandCtx<'_>,
     out: &mut ExpandOutcome,
     depth: usize,
-    prev: Option<Prev>,
 ) -> Result<(), CoreError> {
     let gate = gate_name(local);
     // One scheduler per loop instance: every decomposition sub-STG and
@@ -521,10 +404,6 @@ fn expand_at(
     // The arc label is rendered into this buffer, reused across
     // iterations; the trace clones it once, exact-size.
     let mut arc_text = String::new();
-    // The state graph of the current `local.mg`, its conformance report
-    // and σ rows, threaded through the loop so every trial regenerates —
-    // and reclassifies — incrementally from its predecessor.
-    let mut prev = prev;
     loop {
         out.iterations += 1;
         if out.iterations > ctx.iteration_budget {
@@ -559,15 +438,8 @@ fn expand_at(
         let epre = prerequisite_sets(local);
         let mut trial = local.clone();
         relax_arc(&mut trial.mg, x, y)?;
-        let (sg, map) = ctx.sg_step(
-            &local.mg,
-            prev.as_ref().map(|p| &p.sg),
-            prev.as_ref().and_then(|p| p.rows.as_ref()),
-            &trial.mg,
-            out,
-        )?;
-        let prev_verdicts = prev.as_ref().map(|p| &p.report).zip(map.as_ref());
-        let (case, report) = ctx.classify(&trial, &sg, &epre, Some(x), prev_verdicts, out)?;
+        let sg = ctx.sg(&trial.mg, out)?;
+        let (case, report) = classify(&trial, &sg, &epre, Some(x), out)?;
         out.trace.push(TraceEvent::Relaxed {
             gate: gate.clone(),
             arc: arc_text.clone(),
@@ -597,14 +469,7 @@ fn expand_at(
         }
 
         match case {
-            RelaxationCase::Case1 => {
-                *local = trial;
-                prev = Some(Prev {
-                    sg,
-                    report,
-                    rows: map.map(|m| m.rows),
-                });
-            }
+            RelaxationCase::Case1 => *local = trial,
             RelaxationCase::Case4 => {
                 emit_constraint(local, x, y, out);
             }
@@ -615,32 +480,14 @@ fn expand_at(
                 if trial.mg.arc(x, t_out).is_some_and(|a| !a.restriction) {
                     let mut modified = trial.clone();
                     relax_arc(&mut modified.mg, x, t_out)?;
-                    let (sg2, map2) = ctx.sg_step(
-                        &trial.mg,
-                        Some(&sg),
-                        map.as_ref().map(|m| &m.rows),
-                        &modified.mg,
-                        out,
-                    )?;
-                    let (case2, report2) = ctx.classify(
-                        &modified,
-                        &sg2,
-                        &epre,
-                        Some(x),
-                        Some(&report).zip(map2.as_ref()),
-                        out,
-                    )?;
+                    let sg2 = ctx.sg(&modified.mg, out)?;
+                    let (case2, _) = classify(&modified, &sg2, &epre, Some(x), out)?;
                     if case2 == RelaxationCase::Case1 {
                         out.trace.push(TraceEvent::MadeConcurrentWithOutput {
                             gate: gate.clone(),
                             transition: modified.mg.label_string(x),
                         });
                         *local = modified;
-                        prev = Some(Prev {
-                            sg: sg2,
-                            report: report2,
-                            rows: map2.map(|m| m.rows),
-                        });
                         continue;
                     }
                     // OR-causality in case 2: decompose from the modified
@@ -652,7 +499,7 @@ fn expand_at(
                                 gate: gate.clone(),
                                 parts: subs.len(),
                             });
-                            return recurse(subs, local, x, y, ctx, out, depth, prev);
+                            return recurse(subs, local, x, y, ctx, out, depth);
                         }
                         None => {
                             out.trace.push(TraceEvent::Fallback {
@@ -692,7 +539,7 @@ fn expand_at(
                             gate: gate.clone(),
                             parts: subs.len(),
                         });
-                        return recurse(subs, local, x, y, ctx, out, depth, prev);
+                        return recurse(subs, local, x, y, ctx, out, depth);
                     }
                     None => {
                         out.trace.push(TraceEvent::Fallback {
@@ -709,9 +556,6 @@ fn expand_at(
 
 /// Recurses into sub-STGs; if any sub-STG is itself non-conformant the
 /// whole decomposition is abandoned in favour of the case-4 constraint.
-/// `prev` is the state graph of `local.mg` (with its conformance report
-/// and σ rows), handed back to the loop when a fallback resumes it.
-#[allow(clippy::too_many_arguments)]
 fn recurse(
     subs: Vec<LocalStg>,
     local: &mut LocalStg,
@@ -720,7 +564,6 @@ fn recurse(
     ctx: &ExpandCtx<'_>,
     out: &mut ExpandOutcome,
     depth: usize,
-    prev: Option<Prev>,
 ) -> Result<(), CoreError> {
     if depth + 1 >= ctx.max_depth {
         out.trace.push(TraceEvent::Fallback {
@@ -728,12 +571,9 @@ fn recurse(
             reason: "decomposition depth limit".to_string(),
         });
         emit_constraint(local, x, y, out);
-        return expand_at(local, ctx, out, depth, prev);
+        return expand_at(local, ctx, out, depth);
     }
-    // Verify conformance of each sub-STG before committing to them; keep
-    // the graphs (and their reports) so each sub-expansion starts with its
-    // predecessor known.
-    let mut sub_sgs = Vec::with_capacity(subs.len());
+    // Verify conformance of each sub-STG before committing to them.
     for sub in &subs {
         let sg = ctx.sg(&sub.mg, out)?;
         let rep = conformance(sub, &sg)?;
@@ -743,18 +583,11 @@ fn recurse(
                 reason: "non-conformant sub-STG".to_string(),
             });
             emit_constraint(local, x, y, out);
-            return expand_at(local, ctx, out, depth, prev);
+            return expand_at(local, ctx, out, depth);
         }
-        sub_sgs.push((sg, rep));
     }
-    for (mut sub, sub_prev) in subs.into_iter().zip(sub_sgs) {
-        expand_at(
-            &mut sub,
-            ctx,
-            out,
-            depth + 1,
-            Some(Prev::without_rows(sub_prev)),
-        )?;
+    for mut sub in subs {
+        expand_at(&mut sub, ctx, out, depth + 1)?;
     }
     Ok(())
 }
@@ -987,135 +820,20 @@ y- x+
         expand(local.clone(), &oracle, 1000, &mut plain).expect("expands");
 
         let cache = SgCache::new();
-        let conf = ConformanceCache::disabled();
-        let ctx =
-            ExpandCtx::with_defaults(&oracle, RelaxationOrder::TightestFirst, 1000, &cache, &conf);
+        let ctx = ExpandCtx::with_defaults(&oracle, RelaxationOrder::TightestFirst, 1000, &cache);
         let mut cached = ExpandOutcome::default();
-        expand_ctx(local.clone(), None, &ctx, &mut cached).expect("expands");
+        expand_ctx(local.clone(), &ctx, &mut cached).expect("expands");
         assert_eq!(plain.constraints, cached.constraints);
         assert_eq!(plain.trace, cached.trace);
         assert_eq!(plain.iterations, cached.iterations);
 
         // A second run over the same local STG is answered from the cache.
         let mut warm = ExpandOutcome::default();
-        expand_ctx(local, None, &ctx, &mut warm).expect("expands");
+        expand_ctx(local, &ctx, &mut warm).expect("expands");
         assert_eq!(plain.constraints, warm.constraints);
         assert!(warm.sg_cache_hits > 0, "warm run should hit: {warm:?}");
         assert_eq!(warm.sg_cache_misses, 0);
         assert_eq!(warm.states_explored, 0);
-    }
-
-    #[test]
-    fn incremental_expansion_matches_plain_bit_for_bit() {
-        let text = "\
-.model and2
-.inputs x y
-.outputs o
-.graph
-x+ y+
-y+ o+
-o+ x-
-x- o-
-o- y-
-y- x+
-.marking { <y-,x+> }
-.end
-";
-        let (local, oracle) = build(text, "o = x*y;", "o");
-        let mut plain = ExpandOutcome::default();
-        expand(local.clone(), &oracle, 1000, &mut plain).expect("expands");
-
-        let cache = SgCache::new();
-        let conf = ConformanceCache::disabled();
-        let mut ctx =
-            ExpandCtx::with_defaults(&oracle, RelaxationOrder::TightestFirst, 1000, &cache, &conf);
-        ctx.incremental = true;
-        let (prev, _) = cache.of_mg(&local.mg, ctx.sg_budget).expect("consistent");
-        let rep = conformance(&local, &prev).expect("checks");
-        let mut cold = ExpandOutcome::default();
-        expand_ctx(
-            local.clone(),
-            Some((Arc::clone(&prev), rep.clone())),
-            &ctx,
-            &mut cold,
-        )
-        .expect("expands");
-        assert_eq!(plain.constraints, cold.constraints);
-        assert_eq!(plain.trace, cold.trace);
-        assert_eq!(plain.iterations, cold.iterations);
-        assert!(
-            cold.sg_inc_derived > 0,
-            "a cold incremental run must derive deltas: {cold:?}"
-        );
-
-        // A warm re-run of the same gate answers the edits from the delta
-        // tier.
-        let mut warm = ExpandOutcome::default();
-        expand_ctx(local, Some((prev, rep)), &ctx, &mut warm).expect("expands");
-        assert_eq!(plain.constraints, warm.constraints);
-        assert_eq!(warm.sg_cache_misses, 0);
-        assert!(
-            warm.sg_delta_hits > 0,
-            "a warm incremental run must hit the delta tier: {warm:?}"
-        );
-    }
-
-    #[test]
-    fn incremental_classification_matches_plain_bit_for_bit() {
-        let text = "\
-.model and2
-.inputs x y
-.outputs o
-.graph
-x+ y+
-y+ o+
-o+ x-
-x- o-
-o- y-
-y- x+
-.marking { <y-,x+> }
-.end
-";
-        let (local, oracle) = build(text, "o = x*y;", "o");
-        let mut plain = ExpandOutcome::default();
-        expand(local.clone(), &oracle, 1000, &mut plain).expect("expands");
-
-        let cache = SgCache::new();
-        let conf = ConformanceCache::new();
-        let mut ctx =
-            ExpandCtx::with_defaults(&oracle, RelaxationOrder::TightestFirst, 1000, &cache, &conf);
-        ctx.incremental = true;
-        ctx.incremental_classify = true;
-        let (prev, _) = cache.of_mg(&local.mg, ctx.sg_budget).expect("consistent");
-        let rep = conformance(&local, &prev).expect("checks");
-        let mut cold = ExpandOutcome::default();
-        expand_ctx(
-            local.clone(),
-            Some((Arc::clone(&prev), rep.clone())),
-            &ctx,
-            &mut cold,
-        )
-        .expect("expands");
-        assert_eq!(plain.constraints, cold.constraints);
-        assert_eq!(plain.trace, cold.trace);
-        assert_eq!(plain.iterations, cold.iterations);
-        assert!(
-            cold.conf_inc_classified > 0,
-            "a cold run must reclassify through verdict copying: {cold:?}"
-        );
-
-        // A warm re-run answers every verdict from the conformance cache —
-        // no sweep at all.
-        let mut warm = ExpandOutcome::default();
-        expand_ctx(local, Some((prev, rep)), &ctx, &mut warm).expect("expands");
-        assert_eq!(plain.constraints, warm.constraints);
-        assert_eq!(plain.trace, warm.trace);
-        assert!(
-            warm.conf_cache_hits > 0,
-            "a warm run must hit the conformance cache: {warm:?}"
-        );
-        assert_eq!(warm.conf_cache_misses, 0);
-        assert_eq!(warm.conf_inc_classified, 0);
     }
 
     #[test]

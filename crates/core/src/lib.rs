@@ -27,14 +27,12 @@
 //! - [`derive_timing_constraints`] — the classic monolithic call
 //!   (sequential, uncached; the differential reference);
 //! - [`Engine`] — the staged pipeline (parse → validate → decompose →
-//!   project → relax → merge) with an explicit [`EngineConfig`], three
-//!   memoization tiers shared across gates and runs (state graphs in
-//!   [`SgCache`], projections in [`ProjCache`], classification verdicts
-//!   in [`ConformanceCache`]), incremental regeneration *and*
-//!   classification under relaxation edits, a parallel per-gate fan-out,
-//!   and per-stage/per-gate metrics in the extended [`EngineReport`].
-//!   Output is bit-identical to the monolithic call for every
-//!   configuration.
+//!   project → relax → merge) with an explicit [`EngineConfig`], a fast
+//!   path of memoization tiers shared across gates and runs (state graphs
+//!   in [`SgCache`], generated in σ space; projections in [`ProjCache`];
+//!   decompositions), a parallel per-gate fan-out, and per-stage/per-gate
+//!   metrics in the extended [`EngineReport`]. Output is bit-identical to
+//!   the monolithic call for every configuration.
 //!
 //! # Example
 //!
@@ -82,10 +80,10 @@ mod relax;
 mod report;
 mod sched;
 
-pub use cache::{CacheStats, ConfLookup, ConfMiss, ConformanceCache, ProjCache, SgCache, SgSource};
+pub use cache::{CacheStats, ProjCache, SgCache};
 pub use check::{
-    classify_state, classify_states, classify_states_from, conformance, conformance_from,
-    is_pending, prerequisite_sets, ConformanceReport, RelaxationCase, StateClass,
+    classify_state, classify_states, conformance, is_pending, prerequisite_sets, ConformanceReport,
+    RelaxationCase, StateClass,
 };
 pub use constraint::{Constraint, ConstraintAtom};
 pub use engine::{

@@ -1,8 +1,8 @@
 //! Shared property-test strategies.
 //!
 //! The random-ring generators and the single-arc [`Edit`] space used by
-//! the incremental-regeneration proptests (`si-stg`) and the incremental
-//! classification proptests (`si-core`) live here once, instead of being
+//! the σ-space and redundancy proptests (`si-stg`) and the relaxation
+//! chain proptests (`si-core`) live here once, instead of being
 //! duplicated per test file. The corpus generator itself is also exposed
 //! as a strategy ([`corpus_case`]) for end-to-end properties over whole
 //! circuits.
@@ -156,15 +156,6 @@ impl Edit {
         }
         out
     }
-
-    /// Applies the edit to a clone of `local`'s marked graph, keeping the
-    /// bound gate context.
-    #[must_use]
-    pub fn apply_local(&self, local: &LocalStg) -> LocalStg {
-        let mut out = local.clone();
-        out.mg = self.apply_mg(&local.mg);
-        out
-    }
 }
 
 /// The single-arc edit space.
@@ -177,7 +168,7 @@ pub fn edit() -> impl Strategy<Value = Edit> {
 }
 
 /// A random ring MG plus a random single-arc edit — the case shape of
-/// the incremental state-graph regeneration proptests.
+/// the σ-space and redundancy proptests.
 pub fn random_mg_case() -> impl Strategy<Value = (RandomMg, Edit)> {
     let mg = (
         2usize..=5,
@@ -187,16 +178,13 @@ pub fn random_mg_case() -> impl Strategy<Value = (RandomMg, Edit)> {
     (mg, edit())
 }
 
-/// A random local STG, a random single-arc edit, and a wrapped relaxed
-/// transition index — the case shape of the incremental classification
-/// proptests.
-pub fn random_local_case() -> impl Strategy<Value = (RandomLocal, Edit, usize)> {
-    let local = (
+/// A random local STG — the start of the relaxation chain proptests.
+pub fn random_local() -> impl Strategy<Value = RandomLocal> {
+    (
         2usize..=4,
         proptest::collection::vec((0usize..12, 0usize..12, 0u32..=1), 0..4),
     )
-        .prop_map(|(inputs, extras)| RandomLocal { inputs, extras });
-    (local, edit(), 0usize..32)
+        .prop_map(|(inputs, extras)| RandomLocal { inputs, extras })
 }
 
 /// A random [`CorpusSpec`] over the whole supported envelope (already

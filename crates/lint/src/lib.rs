@@ -41,4 +41,4 @@ mod render;
 
 pub use checks::{is_error_free, lint_parsed, lint_stg, lint_text, lint_text_with, LintOptions};
 pub use diag::{Code, Diagnostic, LintReport, Related, Severity};
-pub use render::{json_diagnostics, json_escape, render_json, render_sexp, render_text};
+pub use render::{json_diagnostics, json_escape, json_str, render_json, render_sexp, render_text};

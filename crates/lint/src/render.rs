@@ -99,6 +99,11 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
+/// A JSON string literal: `s` escaped and quoted.
+pub fn json_str(s: &str) -> String {
+    format!("\"{}\"", json_escape(s))
+}
+
 /// Renders the diagnostics as a JSON array, each line prefixed by
 /// `indent` — embeddable inside a larger JSON document (the
 /// `check_hazard --format json` payload uses this).

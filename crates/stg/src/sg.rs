@@ -1,27 +1,15 @@
 //! Binary-coded state graphs and the region machinery of thesis Sec. 3.4.
 //!
-//! Besides the scratch generators ([`StateGraph::of_mg`],
-//! [`StateGraph::of_stg`]) this module implements the *incremental*
-//! regeneration used by the relaxation loop: [`StateGraph::of_mg_from`]
-//! derives the successor state graph of a single-arc edit from the
-//! predecessor's graph, re-exploring only the cone of states whose
-//! enabling conditions the edit can affect, while reproducing the scratch
-//! generator's output — including its failures — bit for bit. It also
-//! returns the parent↔child state correspondence and the affected cone as
-//! an [`SgMap`], so downstream per-state analyses (the conformance sweep)
-//! can reuse the unaffected states' verdicts. For *cold* exploration of
-//! weakly connected marked graphs, [`StateGraph::of_mg_sigma`] replaces
-//! the packed-marking state keys with the cheaper normalized
-//! firing-count-vector (σ-space) keys the delta path already uses.
-//!
-//! Both σ-space generators run one exploration kernel: states are
-//! identified by their normalized firing-count rows, kept in a flat arena
-//! with an open-addressing index ([`SigmaRows`]), so exploring a state
-//! allocates nothing beyond the graph's own edge list.
-//! [`StateGraph::of_mg`] stays marking-keyed: it is the independent
-//! oracle every σ-space result is checked against.
+//! Two generators build the state graph of a marked-graph STG.
+//! [`StateGraph::of_mg`] keys states by their packed markings: it is the
+//! independent oracle. [`StateGraph::of_mg_sigma`] keys states of weakly
+//! connected marked graphs by their normalized firing-count vectors
+//! (σ space) instead, kept in a flat arena with an open-addressing index,
+//! so exploring a state allocates nothing beyond the graph's own edge
+//! list; its output is bit-identical to the oracle's, failures included.
+//! [`StateGraph::of_stg`] generates the graph of a full (possibly
+//! free-choice) STG.
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 
 use crate::mg::MgStg;
@@ -44,29 +32,13 @@ const EMPTY: u32 = u32::MAX;
 /// re-hashes, and a probe compares whole rows only on equal hashes. The
 /// index is linear probing over a power-of-two table of state ids, kept
 /// at most half full.
-///
-/// A value is produced by the σ-space explorer and handed out in
-/// [`SgMap::rows`]; passing it back to [`StateGraph::of_mg_from`] with its
-/// graph saves that call from re-walking the graph to rebuild it.
-#[derive(Debug, Clone)]
-pub struct SigmaRows {
+#[derive(Debug)]
+struct SigmaRows {
     width: usize,
     rows: Vec<u32>,
     hashes: Vec<u64>,
     slots: Vec<u32>,
-    indexed: usize,
 }
-
-impl PartialEq for SigmaRows {
-    /// Two tables are equal when they hold the same rows in the same
-    /// order; the hashes follow from the rows and the slot layout is an
-    /// index detail.
-    fn eq(&self, other: &Self) -> bool {
-        self.width == other.width && self.rows == other.rows
-    }
-}
-
-impl Eq for SigmaRows {}
 
 impl SigmaRows {
     fn new(width: usize) -> Self {
@@ -75,40 +47,7 @@ impl SigmaRows {
             rows: Vec::new(),
             hashes: Vec::new(),
             slots: vec![EMPTY; 16],
-            indexed: 0,
         }
-    }
-
-    /// The rows of `sg`'s states, recovered by walking its edges from the
-    /// initial state (`alive` = the generating MG's alive transitions).
-    /// Each row is its discoverer's row plus one firing, normalized; in a
-    /// weakly connected MG every path to a state yields the same row.
-    fn of_graph(sg: &StateGraph, alive: &[usize]) -> Self {
-        let width = alive.len();
-        let col = columns(alive);
-        let n = sg.state_count();
-        let mut table = Self::new(width);
-        table.rows = vec![0; n * width];
-        let mut seen = vec![false; n];
-        seen[0] = true;
-        let mut stack = vec![0usize];
-        while let Some(p) = stack.pop() {
-            for &(t, j) in &sg.edges[p] {
-                if !seen[j] {
-                    seen[j] = true;
-                    table
-                        .rows
-                        .copy_within(p * width..(p + 1) * width, j * width);
-                    let row = &mut table.rows[j * width..(j + 1) * width];
-                    row[col[t]] += 1;
-                    normalize(row);
-                    stack.push(j);
-                }
-            }
-        }
-        table.hashes = table.rows.chunks_exact(width).map(hash_row).collect();
-        table.reindex();
-        table
     }
 
     fn len(&self) -> usize {
@@ -119,7 +58,7 @@ impl SigmaRows {
         &self.rows[i * self.width..(i + 1) * self.width]
     }
 
-    /// The state whose row is `row` (with hash `hash`), if indexed.
+    /// The state whose row is `row` (with hash `hash`), if present.
     fn find(&self, row: &[u32], hash: u64) -> Option<usize> {
         let mask = self.slots.len() - 1;
         let mut s = hash as usize & mask;
@@ -136,36 +75,19 @@ impl SigmaRows {
         }
     }
 
-    /// Appends a row without indexing it.
-    fn push(&mut self, row: &[u32], hash: u64) {
+    /// Appends and indexes a row. Growing the table re-indexes every row.
+    fn insert(&mut self, row: &[u32], hash: u64) {
         self.rows.extend_from_slice(row);
         self.hashes.push(hash);
-    }
-
-    /// Appends a row from another table with the same columns.
-    fn push_from(&mut self, other: &Self, i: usize) {
-        self.rows.extend_from_slice(other.row(i));
-        self.hashes.push(other.hashes[i]);
-    }
-
-    /// Indexes the last appended row. Growing the table re-indexes every
-    /// row appended so far; an index holding extra rows answers the same.
-    fn index_last(&mut self) {
-        if (self.indexed + 1) * 2 > self.slots.len() {
-            self.reindex();
+        if self.len() * 2 > self.slots.len() {
+            let cap = (self.len() * 2).next_power_of_two();
+            self.slots.clear();
+            self.slots.resize(cap, EMPTY);
+            for i in 0..self.len() {
+                self.insert_slot(i);
+            }
         } else {
             self.insert_slot(self.len() - 1);
-        }
-    }
-
-    /// Indexes every row, sizing the slot table for them.
-    fn reindex(&mut self) {
-        let cap = (self.len() * 2).next_power_of_two().max(16);
-        self.slots.clear();
-        self.slots.resize(cap, EMPTY);
-        self.indexed = 0;
-        for i in 0..self.len() {
-            self.insert_slot(i);
         }
     }
 
@@ -176,7 +98,6 @@ impl SigmaRows {
             s = (s + 1) & mask;
         }
         self.slots[s] = u32::try_from(i).expect("state ids fit in u32");
-        self.indexed += 1;
     }
 }
 
@@ -227,56 +148,19 @@ fn inconsistent(mg: &MgStg, t: usize) -> StgError {
     }
 }
 
-/// The predecessor state graph an inherited σ exploration derives from.
-struct Inherit<'a> {
-    sg: &'a StateGraph,
-    rows: &'a SigmaRows,
-    /// Per transition id: whether the arc delta touches its incoming arcs.
-    changed: Vec<bool>,
-}
-
-/// One run of the σ-space kernel: the graph, its rows (fully indexed) and
-/// the parent counterpart of each state (all `None` without a parent).
-struct Explored {
-    sg: StateGraph,
-    rows: SigmaRows,
-    parent_of: Vec<Option<usize>>,
-}
-
-/// Where the exploration found an enabled transition's successor.
-enum Succ {
-    /// An existing child state.
-    Known(usize),
-    /// A new state whose row is the parent state's row.
-    Inherited(usize),
-    /// A new state with no parent counterpart; its row is in the buffer.
-    Fresh(u64),
-}
-
-/// The σ-space exploration kernel behind [`StateGraph::of_mg_sigma`] and
-/// [`StateGraph::of_mg_from`]. `mg` must be weakly connected, `alive` its
-/// alive transitions, and `parent` (if any) a graph over the same alive
-/// set.
+/// The σ-space exploration kernel behind [`StateGraph::of_mg_sigma`]:
+/// the graph plus its (fully indexed) rows. `mg` must be weakly connected
+/// and `alive` its alive transitions.
 ///
 /// It mirrors [`StateGraph::of_mg`]'s loop exactly — the same LIFO
 /// frontier, the same ascending transition order, the same consistency
 /// and budget checks at the same points — so it visits the same states in
 /// the same order and fails at the same point.
-///
-/// With a parent, a state that has a parent counterpart `p` inherits from
-/// it: a transition whose incoming arcs the delta leaves alone is enabled
-/// exactly where `p` has an edge for it, and its successor is the child
-/// of `p`'s successor — a state with a known row, found with no row built
-/// or hashed. Only the successors of delta-touched transitions and of
-/// states with no counterpart are looked up: first among the parent's
-/// rows, then among the child's own new rows, which are the only rows the
-/// child indexes while it explores.
 fn explore(
     mg: &MgStg,
     alive: &[usize],
     budget: usize,
-    parent: Option<&Inherit<'_>>,
-) -> Result<Explored, StgError> {
+) -> Result<(StateGraph, SigmaRows), StgError> {
     let width = alive.len();
     let col = columns(alive);
     // Incoming arcs per column with token counts, flattened, for the
@@ -304,231 +188,67 @@ fn explore(
             (1u64 << label.signal.0, label.polarity.target_value())
         })
         .collect();
-    // A derived graph is usually about its parent's size: reserve for it.
-    let expect = parent.map_or(0, |par| par.rows.len());
     let mut rows = SigmaRows::new(width);
-    rows.rows.reserve(expect * width);
-    rows.hashes.reserve(expect);
     let mut buf = vec![0u32; width];
-    let h0 = hash_row(&buf);
-    rows.push(&buf, h0);
-    let p0 = parent.and_then(|par| par.rows.find(&buf, h0));
-    if p0.is_none() {
-        rows.index_last();
-    }
-    let mut parent_of = Vec::with_capacity(expect);
-    parent_of.push(p0);
-    // `child_of[p]` = the child state sharing parent state `p`'s row.
-    let mut child_of = vec![EMPTY; expect];
-    if let Some(p0) = p0 {
-        child_of[p0] = 0;
-    }
-    let mut states = Vec::with_capacity(expect);
-    states.push(SgState {
+    rows.insert(&buf, hash_row(&buf));
+    let mut states = vec![SgState {
         code: mg.initial_code(),
-    });
-    let mut edges: Vec<Vec<(usize, usize)>> = Vec::with_capacity(expect);
-    edges.push(Vec::new());
+    }];
+    let mut edges: Vec<Vec<(usize, usize)>> = vec![Vec::new()];
     let mut frontier = vec![0usize];
-    // The columns of the transitions the delta touches, ascending.
-    let changed_cols: Vec<usize> = parent.map_or_else(Vec::new, |par| {
-        (0..width).filter(|&c| par.changed[alive[c]]).collect()
-    });
-    // The enabled transitions of the state being expanded, in ascending
-    // order, as `(column, successor of the parent counterpart)`.
-    let mut enabled: Vec<(usize, Option<usize>)> = Vec::with_capacity(width);
+    // The enabled columns of the state being expanded, ascending.
+    let mut enabled: Vec<usize> = Vec::with_capacity(width);
 
     while let Some(i) = frontier.pop() {
+        let row = rows.row(i);
         enabled.clear();
-        {
-            let row = rows.row(i);
-            let sigma_enabled = |c: usize| {
-                preds[pred_start[c]..pred_start[c + 1]]
-                    .iter()
-                    .all(|&(a, tok)| tok + i64::from(row[a]) - i64::from(row[c]) > 0)
-            };
-            match parent.zip(parent_of[i]) {
-                // Merge the parent counterpart's edges of transitions the
-                // delta leaves alone with the σ test of the ones it
-                // touches; both run in ascending transition order.
-                Some((par, p)) => {
-                    let pe = &par.sg.edges[p];
-                    let mut k = 0;
-                    for &c in &changed_cols {
-                        while k < pe.len() && pe[k].0 < alive[c] {
-                            let (t, pj) = pe[k];
-                            if !par.changed[t] {
-                                enabled.push((col[t], Some(pj)));
-                            }
-                            k += 1;
-                        }
-                        if sigma_enabled(c) {
-                            enabled.push((c, None));
-                        }
-                    }
-                    for &(t, pj) in &pe[k..] {
-                        if !par.changed[t] {
-                            enabled.push((col[t], Some(pj)));
-                        }
-                    }
-                }
-                None => enabled.extend((0..width).filter(|&c| sigma_enabled(c)).map(|c| (c, None))),
-            }
-        }
+        enabled.extend((0..width).filter(|&c| {
+            preds[pred_start[c]..pred_start[c + 1]]
+                .iter()
+                .all(|&(a, tok)| tok + i64::from(row[a]) - i64::from(row[c]) > 0)
+        }));
         let code = states[i].code;
         edges[i].reserve_exact(enabled.len());
-        for &(c, parent_succ) in &enabled {
+        for &c in &enabled {
             let t = alive[c];
             let (bit, target) = flips[c];
             if (code & bit != 0) == target {
                 return Err(inconsistent(mg, t));
             }
             let next_code = code ^ bit;
-            let succ = match parent_succ {
-                Some(pj) => match child_of[pj] {
-                    EMPTY => Succ::Inherited(pj),
-                    j => Succ::Known(j as usize),
-                },
-                None => {
-                    buf.copy_from_slice(rows.row(i));
-                    buf[c] += 1;
-                    normalize(&mut buf);
-                    let h = hash_row(&buf);
-                    match parent.and_then(|par| par.rows.find(&buf, h)) {
-                        Some(p) => match child_of[p] {
-                            EMPTY => Succ::Inherited(p),
-                            j => Succ::Known(j as usize),
-                        },
-                        None => match rows.find(&buf, h) {
-                            Some(j) => Succ::Known(j),
-                            None => Succ::Fresh(h),
-                        },
-                    }
-                }
-            };
-            if !matches!(succ, Succ::Known(_)) && states.len() >= budget {
-                return Err(StgError::Petri(si_petri::PetriError::StateBudgetExceeded {
-                    budget,
-                }));
-            }
-            let j = match succ {
-                Succ::Known(j) => {
+            buf.copy_from_slice(rows.row(i));
+            buf[c] += 1;
+            normalize(&mut buf);
+            let h = hash_row(&buf);
+            let j = match rows.find(&buf, h) {
+                Some(j) => {
                     if states[j].code != next_code {
                         return Err(inconsistent(mg, t));
                     }
                     j
                 }
-                Succ::Inherited(p) => {
-                    let par = parent.expect("inherited states have a parent");
-                    rows.push_from(par.rows, p);
-                    child_of[p] = u32::try_from(states.len()).expect("state ids fit in u32");
-                    parent_of.push(Some(p));
-                    states.len()
-                }
-                Succ::Fresh(h) => {
-                    rows.push(&buf, h);
-                    rows.index_last();
-                    parent_of.push(None);
-                    states.len()
+                None => {
+                    if states.len() >= budget {
+                        return Err(StgError::Petri(si_petri::PetriError::StateBudgetExceeded {
+                            budget,
+                        }));
+                    }
+                    rows.insert(&buf, h);
+                    states.push(SgState { code: next_code });
+                    edges.push(Vec::new());
+                    frontier.push(states.len() - 1);
+                    states.len() - 1
                 }
             };
-            if j == states.len() {
-                states.push(SgState { code: next_code });
-                edges.push(Vec::new());
-                frontier.push(j);
-            }
             edges[i].push((t, j));
         }
     }
-    if rows.indexed < rows.len() {
-        rows.reindex();
-    }
-    Ok(Explored {
-        sg: StateGraph {
-            states,
-            edges,
-            labels: label_table(mg, alive),
-        },
-        rows,
-        parent_of,
-    })
-}
-
-/// The parent↔child state correspondence and the *affected cone* of one
-/// incremental derivation ([`StateGraph::of_mg_from`]).
-///
-/// The correspondence identifies states by normalized firing-count class:
-/// `parent_of[i]` is the predecessor state whose firing counts equal child
-/// state `i`'s (it is a partial bijection — both graphs dedup states by
-/// the same key).
-///
-/// The affected cone is the contract downstream verdict reuse rests on:
-/// `affected[i]` is `false` only when child state `i` has a parent
-/// counterpart `p = parent_of[i]` with the **same binary code and the
-/// same edge list** — elementwise equal transition ids, with each
-/// successor pair related by the correspondence — and the two graphs
-/// share their transition-label table. Every *local* per-state verdict
-/// (a function of the state's code, its own outgoing edges and the shared
-/// labels — excitedness, cover evaluation, premature/lagging membership)
-/// therefore coincides between `i` and `p` whenever `affected[i]` is
-/// `false`. Verdicts that traverse *paths* (next-transition-to-fire,
-/// pending-ness) are **not** covered by the contract and must be
-/// recomputed by the consumer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SgMap {
-    /// `parent_of[i]` = the parent state sharing child state `i`'s
-    /// normalized firing-count class, if any.
-    pub parent_of: Vec<Option<usize>>,
-    /// Whether child state `i` is in the affected cone (no parent
-    /// counterpart, or its code/edge list differs from the counterpart's
-    /// under the correspondence).
-    pub affected: Vec<bool>,
-    /// The child graph's σ rows. Passed to the next
-    /// [`StateGraph::of_mg_from`] that derives from the child graph, they
-    /// spare it the walk that would rebuild them.
-    pub rows: SigmaRows,
-}
-
-impl SgMap {
-    /// Number of states outside the affected cone (whose local verdicts
-    /// the correspondence makes reusable).
-    pub fn unaffected_count(&self) -> usize {
-        self.affected.iter().filter(|&&a| !a).count()
-    }
-
-    /// Derives the cone from the exploration's correspondence vector:
-    /// child state `i` is affected iff it has no counterpart, the label
-    /// tables differ, its code differs, or its edge list differs
-    /// elementwise (transition ids, and successors related by
-    /// `parent_of`).
-    fn derive(explored: Explored, parent: &StateGraph) -> (StateGraph, Self) {
-        let Explored {
-            sg: child,
-            rows,
-            parent_of,
-        } = explored;
-        let labels_match = child.labels == parent.labels;
-        let affected = (0..child.states.len())
-            .map(|i| match parent_of[i] {
-                None => true,
-                Some(p) => {
-                    !labels_match
-                        || child.states[i].code != parent.states[p].code
-                        || child.edges[i].len() != parent.edges[p].len()
-                        || child.edges[i]
-                            .iter()
-                            .zip(&parent.edges[p])
-                            .any(|(&(t, j), &(pt, pj))| t != pt || parent_of[j] != Some(pj))
-                }
-            })
-            .collect();
-        let map = Self {
-            parent_of,
-            affected,
-            rows,
-        };
-        (child, map)
-    }
+    let sg = StateGraph {
+        states,
+        edges,
+        labels: label_table(mg, alive),
+    };
+    Ok((sg, rows))
 }
 
 /// One state of a [`StateGraph`]: a reachable marking labelled with the
@@ -638,88 +358,8 @@ impl StateGraph {
         })
     }
 
-    /// Derives the state graph of `mg` from the predecessor `parent`'s
-    /// graph, re-exploring only the cone of states affected by the arc
-    /// delta between the two — the incremental regeneration behind each
-    /// relaxation-loop edit.
-    ///
-    /// `parent_sg` must be the graph [`StateGraph::of_mg`] returns for
-    /// `parent` (any budget it fits in), and `parent_rows`, if given, the
-    /// [`SgMap::rows`] that came with `parent_sg` from an earlier call;
-    /// without them the parent's rows are rebuilt by walking `parent_sg`.
-    /// The contract is exact equivalence with a scratch run: the returned
-    /// graph is bit-identical to `StateGraph::of_mg(mg, budget)` — same
-    /// state indexing, same edge order — and every failure (consistency
-    /// violation, budget exhaustion) is the error the scratch run would
-    /// report, raised at the same point of the exploration. The returned
-    /// [`SgMap`] carries the parent↔child state correspondence plus the
-    /// affected cone (see [`SgMap`] for the exact reuse contract) and the
-    /// child's rows; it is `None` when the inputs were ineligible
-    /// (different alive-transition sets, or a parent or child arc skeleton
-    /// that is not weakly connected) and the result came from a scratch
-    /// generation — σ-keyed ([`StateGraph::of_mg_sigma`]) whenever `mg` is
-    /// weakly connected.
-    ///
-    /// The delta-guided path identifies states by *normalized firing-count
-    /// vectors* instead of full markings: in a weakly connected marked
-    /// graph a reachable marking determines the firing counts up to a
-    /// constant shift, so the count vector is a faithful state key shared
-    /// between predecessor and successor. A transition whose incoming arcs
-    /// the delta does not touch is enabled in the successor exactly where
-    /// the predecessor's graph has an edge for it — those verdicts (and
-    /// the successor states they lead to) are copied in O(1) per edge,
-    /// with no state key built; only transitions downstream of the edited
-    /// arc, and states beyond the predecessor's horizon, are looked up.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the errors of [`StateGraph::of_mg`] under `budget`.
-    pub fn of_mg_from(
-        parent: &MgStg,
-        parent_sg: &StateGraph,
-        parent_rows: Option<&SigmaRows>,
-        mg: &MgStg,
-        budget: usize,
-    ) -> Result<(Self, Option<SgMap>), StgError> {
-        if !mg.arcs_weakly_connected() {
-            return Ok((Self::of_mg(mg, budget)?, None));
-        }
-        let alive = mg.transitions();
-        if parent.transitions() != alive {
-            return Ok((explore(mg, &alive, budget, None)?.sg, None));
-        }
-        // Rows are only ever built for weakly connected MGs. In any other
-        // parent a state's firing counts depend on the path that reached
-        // it, so there is nothing faithful to inherit through.
-        let rows = match parent_rows {
-            Some(r) if r.width == alive.len() && r.len() == parent_sg.state_count() => {
-                Cow::Borrowed(r)
-            }
-            _ if parent.arcs_weakly_connected() => {
-                Cow::Owned(SigmaRows::of_graph(parent_sg, &alive))
-            }
-            _ => return Ok((explore(mg, &alive, budget, None)?.sg, None)),
-        };
-        // Transitions whose enabling the delta can affect (their incoming
-        // arcs changed); everything else inherits the parent's verdicts.
-        let mut changed = vec![false; alive.last().map_or(0, |&t| t + 1)];
-        for t in parent.arc_delta(mg).affected_dsts() {
-            changed[t] = true;
-        }
-        let inherit = Inherit {
-            sg: parent_sg,
-            rows: &rows,
-            changed,
-        };
-        let explored = explore(mg, &alive, budget, Some(&inherit))?;
-        let (sg, map) = SgMap::derive(explored, parent_sg);
-        Ok((sg, Some(map)))
-    }
-
     /// Generates the state graph of a *weakly connected* marked-graph STG
-    /// using normalized firing-count vectors (σ-space) as state keys — the
-    /// cheaper identification [`StateGraph::of_mg_from`] already uses for
-    /// its delta path, applied to cold (no-predecessor) exploration. In a
+    /// using normalized firing-count vectors (σ-space) as state keys. In a
     /// weakly connected marked graph a reachable marking determines the
     /// firing counts up to a constant shift, so the normalized vector is a
     /// faithful state key; enabledness reduces to the per-arc test
@@ -740,8 +380,9 @@ impl StateGraph {
         if !mg.arcs_weakly_connected() {
             return Self::of_mg(mg, budget);
         }
-        Ok(explore(mg, &mg.transitions(), budget, None)?.sg)
+        Ok(explore(mg, &mg.transitions(), budget)?.0)
     }
+
     /// Generates the state graph of a full (possibly free-choice) STG.
     ///
     /// # Errors
@@ -1140,236 +781,132 @@ o- x+
         (parent, child)
     }
 
-    #[test]
-    fn incremental_regeneration_matches_scratch_after_relaxation_edit() {
-        let (parent, child) = chain_and_relaxed();
-        let parent_sg = StateGraph::of_mg(&parent, 1000).expect("consistent");
-        let scratch = StateGraph::of_mg(&child, 1000).expect("consistent");
-        let (inc, map) =
-            StateGraph::of_mg_from(&parent, &parent_sg, None, &child, 1000).expect("derives");
-        let map = map.expect("a relaxation edit must take the delta path");
-        assert_eq!(inc, scratch);
-        assert!(
-            inc.state_count() > parent_sg.state_count(),
-            "relaxation grows the interleaving space: {} vs {}",
-            inc.state_count(),
-            parent_sg.state_count()
-        );
-        assert_sg_map_contract(&inc, &parent_sg, &map);
-    }
-
-    /// Checks the [`SgMap`] reuse contract against its definition: every
-    /// unaffected child state has a parent counterpart with the same code
-    /// and an elementwise-identical edge list under the correspondence.
-    fn assert_sg_map_contract(child: &StateGraph, parent: &StateGraph, map: &SgMap) {
-        assert_eq!(map.parent_of.len(), child.state_count());
-        assert_eq!(map.affected.len(), child.state_count());
-        for i in 0..child.state_count() {
-            if map.affected[i] {
-                continue;
-            }
-            let p = map.parent_of[i].expect("unaffected implies mapped");
-            assert_eq!(child.states[i].code, parent.states[p].code, "state {i}");
-            assert_eq!(
-                child.edges[i].len(),
-                parent.edges[p].len(),
-                "state {i} edge count"
-            );
-            for (&(t, j), &(pt, pj)) in child.edges[i].iter().zip(&parent.edges[p]) {
-                assert_eq!(t, pt, "state {i}");
-                assert_eq!(map.parent_of[j], Some(pj), "state {i} successor");
-                assert_eq!(child.label(t), parent.label(pt), "state {i} label");
-            }
-        }
-    }
-
-    #[test]
-    fn incremental_regeneration_matches_scratch_after_token_move() {
-        let (_, mg) = handshake_mg();
-        let parent_sg = StateGraph::of_mg(&mg, 100).expect("consistent");
-        // Advance the cycle by one firing of req+: the token moves from
-        // <ack-, req+> to <req+, ack+> and the initial code flips req.
+    /// The handshake advanced by one firing of `req+`: the token moves
+    /// from `<ack-, req+>` to `<req+, ack+>` and the initial code flips
+    /// `req`.
+    fn token_moved_handshake() -> MgStg {
+        let (_, mut mg) = handshake_mg();
         let reqp = mg.transition_by_label("req+").expect("present");
         let ackp = mg.transition_by_label("ack+").expect("present");
         let ackm = mg.transition_by_label("ack-").expect("present");
-        let mut child = mg.clone();
-        child.remove_arc(reqp, ackp);
-        child.insert_arc(reqp, ackp, 1, false);
-        child.remove_arc(ackm, reqp);
-        child.insert_arc(ackm, reqp, 0, false);
-        child.set_initial_code(1);
-        let scratch = StateGraph::of_mg(&child, 100).expect("consistent");
-        let (inc, map) =
-            StateGraph::of_mg_from(&mg, &parent_sg, None, &child, 100).expect("derives");
-        let map = map.expect("delta path");
-        assert_eq!(inc, scratch);
-        assert_sg_map_contract(&inc, &parent_sg, &map);
-        // The token move shifts every code, so no verdict is reusable.
-        assert_eq!(map.unaffected_count(), 0);
+        mg.remove_arc(reqp, ackp);
+        mg.insert_arc(reqp, ackp, 1, false);
+        mg.remove_arc(ackm, reqp);
+        mg.insert_arc(ackm, reqp, 0, false);
+        mg.set_initial_code(1);
+        mg
+    }
+
+    /// Two independent handshake rings, and every way of joining them
+    /// with one arc of 0–2 tokens. The rings alone are not weakly
+    /// connected (σ generation falls back to the oracle); each join is.
+    fn rings_and_joins() -> Vec<MgStg> {
+        let mut stg = Stg::new("rings");
+        let a = stg.add_signal("a", SignalKind::Input);
+        let b = stg.add_signal("b", SignalKind::Input);
+        let mut rings = MgStg::empty_like(&stg);
+        let ap = rings.add_transition(TransitionLabel::new(a, Polarity::Plus, 1));
+        let am = rings.add_transition(TransitionLabel::new(a, Polarity::Minus, 1));
+        let bp = rings.add_transition(TransitionLabel::new(b, Polarity::Plus, 1));
+        let bm = rings.add_transition(TransitionLabel::new(b, Polarity::Minus, 1));
+        rings.insert_arc(ap, am, 0, false);
+        rings.insert_arc(am, ap, 1, false);
+        rings.insert_arc(bp, bm, 0, false);
+        rings.insert_arc(bm, bp, 1, false);
+        assert!(!rings.arcs_weakly_connected());
+        let mut all = vec![rings.clone()];
+        for (src, dst) in [(ap, bp), (am, bp), (bm, ap), (bp, am)] {
+            for tokens in 0..=2 {
+                let mut joined = rings.clone();
+                joined.insert_arc(src, dst, tokens, false);
+                assert!(joined.arcs_weakly_connected());
+                all.push(joined);
+            }
+        }
+        all
     }
 
     #[test]
-    fn incremental_regeneration_replays_failures_exactly() {
-        // Under every budget — including ones neither graph fits in — the
-        // incremental derivation must reproduce the scratch result, Ok or
-        // Err alike.
+    fn sigma_generation_matches_marking_keyed_generation() {
+        let (_, mg) = handshake_mg();
         let (parent, child) = chain_and_relaxed();
-        let parent_sg = StateGraph::of_mg(&parent, 1000).expect("consistent");
-        for budget in 1..=10 {
-            let scratch = StateGraph::of_mg(&child, budget);
-            let inc =
-                StateGraph::of_mg_from(&parent, &parent_sg, None, &child, budget).map(|(sg, _)| sg);
-            assert_eq!(inc, scratch, "budget {budget}");
-        }
-        // An inconsistent edit (removing y+'s only ordering toward o+
-        // leaves o+ racing) must fail identically on both paths.
+        // An inconsistent edit: removing y+'s only ordering toward o+
+        // leaves o+ racing.
         let mut bad = parent.clone();
         let yp = bad.transition_by_label("y+").expect("present");
         let op = bad.transition_by_label("o+").expect("present");
         let om = bad.transition_by_label("o-").expect("present");
         bad.remove_arc(yp, op);
         bad.insert_arc(om, op, 1, false);
-        let scratch = StateGraph::of_mg(&bad, 1000);
-        let inc = StateGraph::of_mg_from(&parent, &parent_sg, None, &bad, 1000).map(|(sg, _)| sg);
-        assert!(scratch.is_err(), "edit must be inconsistent");
-        assert_eq!(inc, scratch);
-    }
+        assert!(
+            StateGraph::of_mg(&bad, 1000).is_err(),
+            "edit must be inconsistent"
+        );
 
-    #[test]
-    fn incremental_regeneration_from_a_disconnected_parent_matches_scratch() {
-        // Two independent handshake rings: in the parent's state graph a
-        // state's firing counts depend on the path that reached it, so
-        // an arc that joins the rings must not inherit through them.
-        let mut stg = Stg::new("rings");
-        let a = stg.add_signal("a", SignalKind::Input);
-        let b = stg.add_signal("b", SignalKind::Input);
-        let mut parent = MgStg::empty_like(&stg);
-        let ap = parent.add_transition(TransitionLabel::new(a, Polarity::Plus, 1));
-        let am = parent.add_transition(TransitionLabel::new(a, Polarity::Minus, 1));
-        let bp = parent.add_transition(TransitionLabel::new(b, Polarity::Plus, 1));
-        let bm = parent.add_transition(TransitionLabel::new(b, Polarity::Minus, 1));
-        parent.insert_arc(ap, am, 0, false);
-        parent.insert_arc(am, ap, 1, false);
-        parent.insert_arc(bp, bm, 0, false);
-        parent.insert_arc(bm, bp, 1, false);
-        assert!(!parent.arcs_weakly_connected());
-        let parent_sg = StateGraph::of_mg(&parent, 100).expect("consistent");
-        for (src, dst) in [(ap, bp), (am, bp), (bm, ap), (bp, am)] {
-            for tokens in 0..=2 {
-                let mut child = parent.clone();
-                child.insert_arc(src, dst, tokens, false);
-                for budget in [1, 2, 3, 100] {
-                    let inc = StateGraph::of_mg_from(&parent, &parent_sg, None, &child, budget)
-                        .map(|(sg, _)| sg);
-                    assert_eq!(
-                        inc,
-                        StateGraph::of_mg(&child, budget),
-                        "arc {src}->{dst} with {tokens} tokens, budget {budget}"
-                    );
-                }
+        // The handshake cut down to its ack cycle (a smaller alive set).
+        let mut ack_cycle = mg.clone();
+        let ackp = ack_cycle.transition_by_label("ack+").expect("present");
+        let ackm = ack_cycle.transition_by_label("ack-").expect("present");
+        for label in ["req+", "req-"] {
+            let t = ack_cycle.transition_by_label(label).expect("present");
+            ack_cycle.remove_transition(t);
+        }
+        ack_cycle.insert_arc(ackp, ackm, 0, false);
+        ack_cycle.insert_arc(ackm, ackp, 1, false);
+
+        let mut cases = vec![mg, parent, child, token_moved_handshake(), bad, ack_cycle];
+        cases.extend(rings_and_joins());
+        // Budget and consistency failures replay at the same point.
+        for (k, mg) in cases.iter().enumerate() {
+            for budget in (1..=10).chain([1000]) {
+                assert_eq!(
+                    StateGraph::of_mg_sigma(mg, budget),
+                    StateGraph::of_mg(mg, budget),
+                    "case {k}, budget {budget}"
+                );
             }
         }
     }
 
-    #[test]
-    fn incremental_regeneration_falls_back_on_alive_mismatch() {
-        // Projecting the handshake down to the ack cycle removes both req
-        // transitions: the alive sets differ, so the delta path must
-        // decline and the scratch fallback must still match.
-        let (_, mg) = handshake_mg();
-        let parent_sg = StateGraph::of_mg(&mg, 100).expect("consistent");
-        let reqp = mg.transition_by_label("req+").expect("present");
-        let reqm = mg.transition_by_label("req-").expect("present");
-        let ackp = mg.transition_by_label("ack+").expect("present");
-        let ackm = mg.transition_by_label("ack-").expect("present");
-        let mut child = mg.clone();
-        child.remove_transition(reqp);
-        child.remove_transition(reqm);
-        child.insert_arc(ackp, ackm, 0, false);
-        child.insert_arc(ackm, ackp, 1, false);
-        let scratch = StateGraph::of_mg(&child, 100).expect("consistent");
-        let (inc, map) =
-            StateGraph::of_mg_from(&mg, &parent_sg, None, &child, 100).expect("derives");
-        assert!(
-            map.is_none(),
-            "a removed transition must force the fallback"
-        );
-        assert_eq!(inc, scratch);
-        // The fallback is the σ kernel (the child is weakly connected),
-        // identical to both cold generators under every budget.
-        assert!(child.arcs_weakly_connected());
-        for budget in 1..=5 {
-            let inc =
-                StateGraph::of_mg_from(&mg, &parent_sg, None, &child, budget).map(|(sg, _)| sg);
-            assert_eq!(inc, StateGraph::of_mg(&child, budget), "budget {budget}");
-            assert_eq!(
-                inc,
-                StateGraph::of_mg_sigma(&child, budget),
-                "budget {budget}"
-            );
+    /// The rows of `sg`'s states, rebuilt by walking its edges from the
+    /// initial state: each row is its discoverer's row plus one firing,
+    /// normalized (in a weakly connected MG every path to a state yields
+    /// the same row).
+    fn walked_rows(sg: &StateGraph, alive: &[usize]) -> Vec<u32> {
+        let width = alive.len();
+        let col = columns(alive);
+        let mut rows = vec![0; sg.state_count() * width];
+        let mut seen = vec![false; sg.state_count()];
+        seen[0] = true;
+        let mut stack = vec![0usize];
+        while let Some(p) = stack.pop() {
+            for &(t, j) in &sg.edges[p] {
+                if !seen[j] {
+                    seen[j] = true;
+                    rows.copy_within(p * width..(p + 1) * width, j * width);
+                    let row = &mut rows[j * width..(j + 1) * width];
+                    row[col[t]] += 1;
+                    normalize(row);
+                    stack.push(j);
+                }
+            }
         }
-    }
-
-    #[test]
-    fn sg_map_leaves_undisturbed_states_unaffected() {
-        // A redundant ordering arc (req+ ⇒ req-) changes no reachable
-        // behaviour: every state keeps its code and edge list, so the
-        // affected cone must be empty and the correspondence total.
-        let (_, mg) = handshake_mg();
-        let parent_sg = StateGraph::of_mg(&mg, 100).expect("consistent");
-        let reqp = mg.transition_by_label("req+").expect("present");
-        let reqm = mg.transition_by_label("req-").expect("present");
-        let mut child = mg.clone();
-        child.insert_arc(reqp, reqm, 0, false);
-        let (inc, map) =
-            StateGraph::of_mg_from(&mg, &parent_sg, None, &child, 100).expect("derives");
-        let map = map.expect("delta path");
-        assert_eq!(inc, StateGraph::of_mg(&child, 100).expect("consistent"));
-        assert_eq!(map.unaffected_count(), inc.state_count());
-        assert_sg_map_contract(&inc, &parent_sg, &map);
-    }
-
-    #[test]
-    fn sigma_cold_generation_matches_marking_keyed_generation() {
-        let (_, mg) = handshake_mg();
-        let (parent, child) = chain_and_relaxed();
-        for mg in [&mg, &parent, &child] {
-            assert_eq!(
-                StateGraph::of_mg_sigma(mg, 1000).expect("consistent"),
-                StateGraph::of_mg(mg, 1000).expect("consistent")
-            );
-        }
-        // Budget and consistency failures replay at the same point.
-        for budget in 1..=10 {
-            let scratch = StateGraph::of_mg(&child, budget);
-            let sigma = StateGraph::of_mg_sigma(&child, budget);
-            assert_eq!(sigma, scratch, "budget {budget}");
-        }
+        rows
     }
 
     #[test]
     fn explored_rows_equal_the_rows_walked_from_the_graph() {
-        // The rows the kernel hands forward must be exactly the rows a
-        // walk of the finished graph rebuilds, and index every state.
+        // The kernel's rows must be exactly the rows a walk of the
+        // finished graph rebuilds, and index every state.
         let (parent, child) = chain_and_relaxed();
-        let parent_sg = StateGraph::of_mg(&parent, 1000).expect("consistent");
         for mg in [&parent, &child] {
             let alive = mg.transitions();
-            let explored = explore(mg, &alive, 1000, None).expect("consistent");
-            let walked = SigmaRows::of_graph(&explored.sg, &alive);
-            assert_eq!(explored.rows, walked);
-            for i in 0..walked.len() {
-                let row = walked.row(i);
-                assert_eq!(explored.rows.find(row, hash_row(row)), Some(i));
+            let (sg, rows) = explore(mg, &alive, 1000).expect("consistent");
+            assert_eq!(rows.rows, walked_rows(&sg, &alive));
+            for i in 0..rows.len() {
+                let row = rows.row(i);
+                assert_eq!(rows.find(row, hash_row(row)), Some(i));
             }
-        }
-        let (sg, map) =
-            StateGraph::of_mg_from(&parent, &parent_sg, None, &child, 1000).expect("derives");
-        let map = map.expect("delta path");
-        assert_eq!(map.rows, SigmaRows::of_graph(&sg, &child.transitions()));
-        for i in 0..sg.state_count() {
-            let row = map.rows.row(i);
-            assert_eq!(map.rows.find(row, hash_row(row)), Some(i));
         }
     }
 

@@ -5,8 +5,8 @@
 //! small circuits — so [`run_corpus`] shards across *circuits* instead:
 //! `jobs` scoped workers pull manifest rows off a shared atomic cursor
 //! (the same work-stealing scheme as the engine's gate pool) and run them
-//! through **one shared engine**, so the structural `SgCache` /
-//! `ProjCache` / `ConformanceCache` tiers are shared across shards —
+//! through **one shared engine**, so the `SgCache` and `ProjCache`
+//! tiers are shared across shards —
 //! shape-identical circuits pay for exploration once, whichever worker
 //! meets them first.
 //!

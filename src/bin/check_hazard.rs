@@ -15,7 +15,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use si_core::{CoreError, Engine, EngineConfig, EngineReport, LintPolicy, RelaxationOrder};
-use si_lint::LintReport;
+use si_lint::{json_str, LintReport};
 use si_redress::suite::BatchError;
 
 const USAGE: &str = "\
@@ -47,20 +47,10 @@ OPTIONS:
         --order <ORDER>   relaxation order: tightest (default), lex or
                           contraction (prefer arcs whose relaxation
                           inserts the fewest new bypass arcs)
-        --no-cache        disable state-graph memoization
-        --no-incremental  regenerate every relaxation trial's state graph
-                          from scratch instead of deriving it from its
-                          predecessor's (escape hatch; output is identical)
-        --no-incremental-classify
-                          re-classify every state of every trial from
-                          scratch instead of copying verdicts of states
-                          the edit did not touch, and disable the
-                          conformance verdict cache (escape hatch; output
-                          is identical)
-        --no-sigma-cold   explore cold state graphs in the classic
-                          marking space instead of the σ (firing count)
-                          space (escape hatch; output is identical)
-        --no-memo         disable the local-STG projection memo
+        --no-reuse        run the reference path: every state graph from
+                          the marking-keyed oracle, no state-graph,
+                          projection or decomposition memo (escape hatch;
+                          output is identical)
     -h, --help            print this help and exit
 
 EXIT CODES:
@@ -133,11 +123,7 @@ fn parse_args(argv: &[String]) -> ArgsOutcome {
                     )
                 }
             },
-            "--no-cache" => config.cache = false,
-            "--no-incremental" => config.incremental = false,
-            "--no-incremental-classify" => config.incremental_classify = false,
-            "--no-sigma-cold" => config.sigma_cold = false,
-            "--no-memo" => config.memo_projection = false,
+            "--no-reuse" => config.reuse = false,
             flag if flag.starts_with('-') => {
                 return ArgsOutcome::Error(format!("unknown option `{flag}`"))
             }
@@ -296,12 +282,6 @@ fn print_text(out: &EngineReport, elapsed: f64) {
     println!("The running time for this program is {elapsed:.6} seconds");
 }
 
-/// Minimal JSON string escaping (the identifiers here are plain ASCII,
-/// but be correct anyway).
-fn json_str(s: &str) -> String {
-    format!("\"{}\"", si_lint::json_escape(s))
-}
-
 fn json_list<T, F: Fn(&T) -> String>(items: &[T], f: F) -> String {
     let parts: Vec<String> = items.iter().map(f).collect();
     format!("[{}]", parts.join(","))
@@ -314,19 +294,15 @@ fn render_json(out: &EngineReport, elapsed: f64) -> String {
     };
     let stages = json_list(&out.stages, |s| {
         format!(
-            "{{\"stage\":{},\"wall_us\":{},\"states_explored\":{},\"sg_cache_hits\":{},\"sg_cache_misses\":{},\"sg_delta_hits\":{},\"sg_inc_derived\":{},\"proj_memo_hits\":{},\"proj_memo_misses\":{},\"conf_cache_hits\":{},\"conf_cache_misses\":{},\"conf_inc_classified\":{},\"sched_fingerprints\":{},\"sched_cycle_bails\":{},\"sched_watchdog_bails\":{}}}",
+            "{{\"stage\":{},\"wall_us\":{},\"states_explored\":{},\"sg_cache_hits\":{},\"sg_cache_misses\":{},\"proj_memo_hits\":{},\"proj_memo_misses\":{},\"classifications\":{},\"sched_fingerprints\":{},\"sched_cycle_bails\":{},\"sched_watchdog_bails\":{}}}",
             json_str(s.stage.name()),
             s.wall.as_micros(),
             s.states_explored,
             s.sg_cache_hits,
             s.sg_cache_misses,
-            s.sg_delta_hits,
-            s.sg_inc_derived,
             s.proj_memo_hits,
             s.proj_memo_misses,
-            s.conf_cache_hits,
             s.conf_cache_misses,
-            s.conf_inc_classified,
             s.sched_fingerprints,
             s.sched_cycle_bails,
             s.sched_watchdog_bails,
@@ -334,7 +310,7 @@ fn render_json(out: &EngineReport, elapsed: f64) -> String {
     });
     let gates = json_list(&out.gates, |g| {
         format!(
-            "{{\"gate\":{},\"project_us\":{},\"relax_us\":{},\"iterations\":{},\"states_explored\":{},\"sg_cache_hits\":{},\"sg_cache_misses\":{},\"sg_delta_hits\":{},\"sg_inc_derived\":{},\"proj_memo_hits\":{},\"proj_memo_misses\":{},\"conf_cache_hits\":{},\"conf_cache_misses\":{},\"conf_inc_classified\":{},\"sched_fingerprints\":{},\"sched_cycle_bails\":{},\"sched_watchdog_bails\":{}}}",
+            "{{\"gate\":{},\"project_us\":{},\"relax_us\":{},\"iterations\":{},\"states_explored\":{},\"sg_cache_hits\":{},\"sg_cache_misses\":{},\"proj_memo_hits\":{},\"proj_memo_misses\":{},\"sched_fingerprints\":{},\"sched_cycle_bails\":{},\"sched_watchdog_bails\":{}}}",
             json_str(&g.gate),
             g.project_wall.as_micros(),
             g.relax_wall.as_micros(),
@@ -342,13 +318,8 @@ fn render_json(out: &EngineReport, elapsed: f64) -> String {
             g.states_explored,
             g.sg_cache_hits,
             g.sg_cache_misses,
-            g.sg_delta_hits,
-            g.sg_inc_derived,
             g.proj_memo_hits,
             g.proj_memo_misses,
-            g.conf_cache_hits,
-            g.conf_cache_misses,
-            g.conf_inc_classified,
             g.sched_fingerprints,
             g.sched_cycle_bails,
             g.sched_watchdog_bails,
@@ -361,7 +332,7 @@ fn render_json(out: &EngineReport, elapsed: f64) -> String {
         si_lint::json_diagnostics(&out.lint, ""),
     );
     format!(
-        "{{\"baseline\":{},\"constraints\":{},\"hazard\":{},\"state_count\":{},\"iterations\":{},\"jobs\":{},\"lint\":{},\"stages\":{},\"gates\":{},\"cache\":{{\"hits\":{},\"misses\":{},\"entries\":{},\"delta_hits\":{},\"delta_entries\":{},\"inc_derived\":{}}},\"projections\":{{\"hits\":{},\"misses\":{},\"entries\":{}}},\"conformance\":{{\"hits\":{},\"misses\":{},\"entries\":{}}},\"fanout_wall_us\":{},\"total_wall_us\":{},\"elapsed_seconds\":{elapsed:.6}}}",
+        "{{\"baseline\":{},\"constraints\":{},\"hazard\":{},\"state_count\":{},\"iterations\":{},\"jobs\":{},\"lint\":{},\"stages\":{},\"gates\":{},\"cache\":{{\"hits\":{},\"misses\":{},\"entries\":{}}},\"projections\":{{\"hits\":{},\"misses\":{},\"entries\":{}}},\"fanout_wall_us\":{},\"total_wall_us\":{},\"elapsed_seconds\":{elapsed:.6}}}",
         constraints(&out.report.baseline),
         constraints(&out.report.constraints),
         !out.report.constraints.is_empty(),
@@ -374,15 +345,9 @@ fn render_json(out: &EngineReport, elapsed: f64) -> String {
         out.cache.hits,
         out.cache.misses,
         out.cache.entries,
-        out.cache.delta_hits,
-        out.cache.delta_entries,
-        out.cache.inc_derived,
         out.projections.hits,
         out.projections.misses,
         out.projections.entries,
-        out.conformance.hits,
-        out.conformance.misses,
-        out.conformance.entries,
         out.fanout_wall.as_micros(),
         out.total_wall.as_micros(),
     )

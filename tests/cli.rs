@@ -118,8 +118,7 @@ fn check_hazard_help_exits_zero() {
         assert!(stdout.contains("--jobs"));
         assert!(stdout.contains("--format"));
         assert!(stdout.contains("--lint"));
-        assert!(stdout.contains("--no-incremental-classify"));
-        assert!(stdout.contains("--no-sigma-cold"));
+        assert!(stdout.contains("--no-reuse"));
         assert!(stdout.contains("EXIT CODES"));
     }
 }
@@ -180,11 +179,13 @@ fn check_hazard_parallel_json_reports_the_gold_circuit() {
     assert_eq!(stdout.matches(" < ").count(), 31);
     assert!(stdout.contains("\"cache\":{"));
     assert!(stdout.contains("\"projections\":{"));
-    assert!(stdout.contains("\"conformance\":{"));
-    assert!(stdout.contains("\"sg_delta_hits\""));
     assert!(stdout.contains("\"proj_memo_hits\""));
-    assert!(stdout.contains("\"conf_cache_hits\""));
-    assert!(stdout.contains("\"conf_inc_classified\""));
+    assert!(stdout.contains("\"classifications\""));
+    // Verdicts and trial derivations are not memoized: no such objects
+    // or fields.
+    assert!(!stdout.contains("\"conformance\""));
+    assert!(!stdout.contains("\"delta_hits\""));
+    assert!(!stdout.contains("\"sg_delta_hits\""));
 
     let _ = std::fs::remove_file(stg_path);
     let _ = std::fs::remove_file(eqn_path);
@@ -215,17 +216,12 @@ fn check_hazard_text_output_is_identical_across_jobs_and_cache_settings() {
             .map(str::to_string)
             .collect()
     };
-    let sequential = constraint_lines(&["--no-cache", "--jobs", "1"]);
+    let sequential = constraint_lines(&["--no-reuse", "--jobs", "1"]);
     let parallel = constraint_lines(&["--jobs", "4"]);
     assert_eq!(sequential.len(), 31);
     assert_eq!(sequential, parallel);
-    // The incremental-regeneration and projection-memo escape hatches
-    // must not change a single constraint line either.
-    let scratch = constraint_lines(&["--no-incremental", "--no-memo"]);
-    assert_eq!(sequential, scratch);
-    // Nor the incremental-classification and σ-space escape hatches.
-    let classic = constraint_lines(&["--no-incremental-classify", "--no-sigma-cold"]);
-    assert_eq!(sequential, classic);
+    let parallel_reference = constraint_lines(&["--no-reuse", "--jobs", "4"]);
+    assert_eq!(sequential, parallel_reference);
     let fully_reused = constraint_lines(&[]);
     assert_eq!(sequential, fully_reused);
     // Neither must the strict lint pre-flight (the spec is clean).
@@ -257,17 +253,10 @@ fn check_hazard_bench_mode_runs_bundled_circuits() {
     };
     let default = constraint_lines(&["--bench", "imec-ram-read-sbuf"]);
     assert_eq!(default.len(), 31, "19 baseline + 12 derived");
-    // The CI smoke diff in miniature: the incremental path and its escape
-    // hatch must print identical reports.
-    let scratch = constraint_lines(&["--bench", "imec-ram-read-sbuf", "--no-incremental"]);
-    assert_eq!(default, scratch);
-    let classic = constraint_lines(&[
-        "--bench",
-        "imec-ram-read-sbuf",
-        "--no-incremental-classify",
-        "--no-sigma-cold",
-    ]);
-    assert_eq!(default, classic);
+    // The CI smoke diff in miniature: the fast path and the reference
+    // path must print identical reports.
+    let reference = constraint_lines(&["--bench", "imec-ram-read-sbuf", "--no-reuse"]);
+    assert_eq!(default, reference);
 
     // Unknown names are runtime errors (2); mixing --bench with paths is
     // a usage error (3).

@@ -24,11 +24,11 @@ fn seed_189() -> (si_redress::stg::Stg, si_redress::boolean::GateLibrary) {
 #[test]
 fn seed_189_verdict_is_identical_across_the_differential_matrix() {
     let (stg, library) = seed_189();
-    // A small watchdog window keeps 64 full derivations affordable in
-    // debug builds; the window is held constant across the matrix, so
-    // the determinism claim is exercised in full. (The default-window
-    // verdict and its sub-second wall clock are pinned by the golden
-    // suite.)
+    // A small watchdog window keeps the matrix's full derivations
+    // affordable in debug builds; the window is held constant across the
+    // matrix, so the determinism claim is exercised in full. (The
+    // default-window verdict and its sub-second wall clock are pinned by
+    // the golden suite.)
     let window = 16;
     let expected = Engine::new(EngineConfig {
         divergence_window: window,
@@ -40,32 +40,19 @@ fn seed_189_verdict_is_identical_across_the_differential_matrix() {
         matches!(&expected, CoreError::Diverged { gate, .. } if gate == "o2"),
         "got: {expected}"
     );
-    for incremental in [false, true] {
-        for memo_projection in [false, true] {
-            for cache in [false, true] {
-                for sigma_cold in [false, true] {
-                    for jobs in [1usize, 4] {
-                        let config = EngineConfig {
-                            incremental,
-                            memo_projection,
-                            cache,
-                            // Exercised through `cache` pairing; holding it
-                            // equal to `incremental` keeps the matrix at 32
-                            // configs while still covering both values.
-                            incremental_classify: incremental,
-                            sigma_cold,
-                            jobs,
-                            divergence_window: window,
-                            ..EngineConfig::default()
-                        };
-                        let engine = Engine::new(config);
-                        let cold = engine.run(&stg, &library).expect_err("diverges");
-                        assert_eq!(cold, expected, "cold run diverged under {config:?}");
-                        let warm = engine.run(&stg, &library).expect_err("diverges");
-                        assert_eq!(warm, expected, "warm run diverged under {config:?}");
-                    }
-                }
-            }
+    for reuse in [false, true] {
+        for jobs in [1usize, 4] {
+            let config = EngineConfig {
+                reuse,
+                jobs,
+                divergence_window: window,
+                ..EngineConfig::default()
+            };
+            let engine = Engine::new(config);
+            let cold = engine.run(&stg, &library).expect_err("diverges");
+            assert_eq!(cold, expected, "cold run diverged under {config:?}");
+            let warm = engine.run(&stg, &library).expect_err("diverges");
+            assert_eq!(warm, expected, "warm run diverged under {config:?}");
         }
     }
 }
@@ -198,7 +185,7 @@ proptest! {
     /// Random corpus circuits under an aggressively small watchdog
     /// window (8): trips are common, and whatever the verdict —
     /// convergence, divergence or any other error — it must be
-    /// payload-identical across cache/incremental/parallel configs,
+    /// payload-identical across reuse and parallel configs,
     /// cold and warm.
     #[test]
     fn random_circuits_agree_on_the_verdict_under_a_tiny_window(
